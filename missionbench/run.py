@@ -6,7 +6,8 @@ prints each metric by name with its unit.
     python3 missionbench/run.py --workload cold-mix --seed 1 --seconds 10 --trace 0
 
 --trace 0 prints the end-to-end metrics; --trace 1 runs the traced pass and
-the stack replay and prints the per-layer metrics. The last line of
+the stack replay and prints the per-layer metrics. durable-open runs here
+but is not declared in BENCHMARK.json (see README.md). The last line of
 standard output is one JSON object:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 The full report, with the host fingerprint, is also saved under
@@ -109,7 +110,10 @@ def main():
                      % (block.percentile, block.samples, block.beyond, whole.percentile,
                         finite(whole.value), whole.beyond, whole.samples))
         print(line)
-    if not args.trace:
+    if args.trace:
+        for name, (unit, _) in stats.DURABLE_LAYER.items():
+            print("%-34s %16.6f %s" % (name, values[name], unit))
+    else:
         print("%-34s %16.6f ratio" % ("failed_frac", 1.0 - values["done_frac"]))
     print("host %s" % json.dumps(host, sort_keys=True))
 

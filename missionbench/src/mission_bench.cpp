@@ -47,8 +47,13 @@ namespace sched = ehw::sched;
 namespace svc = ehw::svc;
 namespace fs = std::filesystem;
 
-/// Set-up repetitions per run; setup_s is their median.
-constexpr int kSetups = 5;
+/// Set-up repetitions per run; setup_s is their median. A run sets up at
+/// least kMinSetups times and keeps going until kSetupBudgetSeconds have passed or
+/// kMaxSetups is reached, so a set-up of a few ms is sampled as densely as
+/// one of a few hundred.
+constexpr int kMinSetups = 5;
+constexpr int kMaxSetups = 40;
+constexpr double kSetupBudgetSeconds = 1.5;
 /// Finished-job records each daemon retains (its default is 4096). Kept
 /// small so resident memory reaches its steady state early in a run;
 /// otherwise rss_mb would grow with the number of missions a run finishes.
@@ -117,15 +122,17 @@ class Deployment {
 
   [[nodiscard]] svc::Client& client(std::size_t i) { return *clients_[i]; }
   [[nodiscard]] svc::Client& reader() { return *reader_; }
+  [[nodiscard]] bool federated() const { return forwarder_ != nullptr; }
 
   /// A connection straight to backend 0, bypassing the front (forward-hop
-  /// probe of the traced pass); nullptr without a front.
-  [[nodiscard]] svc::Client* direct() {
-    if (forwarder_ == nullptr) return nullptr;
+  /// probe of the traced pass). Without a front it is a second connection
+  /// to the same daemon: the probe then crosses no hop and measures only
+  /// its own bias (the first call follows the reader's sleep).
+  [[nodiscard]] svc::Client& direct() {
     if (direct_ == nullptr) {
       direct_ = std::make_unique<svc::Client>(servers_.front()->port());
     }
-    return direct_.get();
+    return *direct_;
   }
 
   /// Bytes under the journal directory (0 when not journaled).
@@ -262,14 +269,14 @@ void collect_one(svc::Client& client, MissionRecord& record,
 }
 
 /// Polls status (of the latest mission) and stats until `done`: the
-/// operator's ps/top view beside the writes. In the traced pass of a
-/// federated workload, a status the front relayed from backend 0 is
+/// operator's ps/top view beside the writes. In the traced pass, a status
+/// the front relayed from backend 0 (any status, without a front) is
 /// repeated straight to that backend (the forward-hop probe).
 void read_loop(Deployment& deployment, bool traced,
                const std::atomic<std::uint64_t>& latest_job,
                const std::atomic<bool>& done, Pass& pass) {
   svc::Client& client = deployment.reader();
-  svc::Client* direct = traced ? deployment.direct() : nullptr;
+  svc::Client* direct = traced ? &deployment.direct() : nullptr;
   Clock::time_point tick = Clock::now();
   while (!done.load(std::memory_order_relaxed)) {
     tick += kReadTick;
@@ -284,9 +291,10 @@ void read_loop(Deployment& deployment, bool traced,
     static_cast<void>(client.stats());
     sample.stats_us = seconds_since(start, Clock::now()) * 1e6;
     pass.reads.push_back(sample);
-    if (direct != nullptr && status.get_bool("ok", false) &&
-        status.get("backend") != nullptr &&
-        status.get_number("backend", -1) == 0) {
+    const bool from_backend0 =
+        !deployment.federated() || (status.get("backend") != nullptr &&
+                                    status.get_number("backend", -1) == 0);
+    if (direct != nullptr && status.get_bool("ok", false) && from_backend0) {
       start = Clock::now();
       static_cast<void>(direct->status_by_name(status.get_string("name", "")));
       pass.hop_direct_us.push_back(seconds_since(start, Clock::now()) * 1e6);
@@ -546,14 +554,18 @@ int run(const Args& args) {
   // connections and the warm-up round, up to the first timed submit.
   Json setup_s = Json::array();
   std::unique_ptr<Deployment> deployment;
-  for (int k = 0; k < kSetups; ++k) {
+  double setup_total_s = 0.0;
+  for (int k = 0; k < kMaxSetups; ++k) {
+    if (k >= kMinSetups && setup_total_s >= kSetupBudgetSeconds) break;
     const std::string journal =
         (fs::path(args.scratch) / ("journal-" + std::to_string(k))).string();
     deployment.reset();
     const Clock::time_point start = Clock::now();
     deployment = std::make_unique<Deployment>(workload, journal);
     deployment->run_round(warmup);
-    setup_s.push_back(seconds_since(start, Clock::now()));
+    const double elapsed = seconds_since(start, Clock::now());
+    setup_total_s += elapsed;
+    setup_s.push_back(elapsed);
   }
 
   std::vector<Pass> passes;

@@ -61,8 +61,8 @@ struct LayerTimers {
   std::atomic<std::uint64_t> memo_misses{0};
 };
 
-/// A memo-miss candidate kept for re-timing on the kernel: the compiled
-/// array plus the frames it was measured against.
+/// A candidate kept for re-timing on the kernel: the compiled array plus
+/// the frames it was measured against.
 struct KernelSample {
   std::shared_ptr<const ehw::pe::CompiledArray> array;
   ehw::img::Image input;
@@ -71,8 +71,10 @@ struct KernelSample {
 
 class KernelSampler {
  public:
-  /// Offers every `stride`-th candidate; the caller keeps those that miss
-  /// the memo, up to `cap`.
+  /// Keeps every `stride`-th candidate, up to `cap`. Memo hits are kept
+  /// too: the kernel's cost per call does not depend on the memo, and a
+  /// memo-hot workload still reports it (its share, pe.eval_share, counts
+  /// memo misses only).
   KernelSampler(std::size_t stride, std::size_t cap)
       : stride_(stride), cap_(cap) {}
 
@@ -197,13 +199,7 @@ class TimedExecutor final : public platform::WaveExecutor {
       return array;
     });
     timers_.compile_hook.add(elapsed_ns(hook_start));
-    // A sampled candidate is probed in the memo outside the timed hook;
-    // a key already there means the wave will not evaluate it.
-    ehw::Fitness known = 0;
-    if (sampler_.due() &&
-        !replica_.memo.lookup(ehw::hash_mix(memo_.frame_set_id, key), &known)) {
-      sampler_.add(compiled, input, compare);
-    }
+    if (sampler_.due()) sampler_.add(compiled, input, compare);
     return {std::move(compiled), key};
   }
 

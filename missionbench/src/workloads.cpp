@@ -131,9 +131,10 @@ Workload make_durable_open() {
   w.journaled = true;
   w.checkpoint_every = 3;
   w.max_inflight = 128;
-  // Frozen at about half the capacity measured for this mission shape on
-  // a 4-CPU host (~800 missions/s before refusals start).
-  w.rate_per_s = 400.0;
+  // Frozen well below capacity. On a 4-vCPU shared host, refusals start
+  // near 800 missions/s in a calm phase but below 400/s when neighbours
+  // load the host; at 100/s no mission is refused in either.
+  w.rate_per_s = 100.0;
   w.sim_prefix = 64;
   w.pool.num_arrays = 8;
   return w;

@@ -81,6 +81,15 @@ class DueTimeAccounting(unittest.TestCase):
         m = [mission(0, sent=1.25, recv=2.0, due=1.0), mission(1, sent=2.0, recv=2.1, due=2.0)]
         self.assertEqual([round(x, 6) for x in stats.lateness_ms(m)], [250.0, 0.0])
 
+    def test_waiting_on_the_previous_ack_is_not_lateness(self):
+        # Mission 0's ack took until 1.5 s; mission 1, due at 1.1 s, left at
+        # 1.502 s: 2 ms late through the generator's fault, not 402 ms.
+        m = [mission(1, sent=1.502, recv=2.0, due=1.1, ack=1.6),
+             mission(0, sent=1.0, recv=1.8, due=1.0, ack=1.5)]
+        self.assertEqual([round(x, 6) for x in stats.lateness_ms(m)], [0.0, 2.0])
+        # The daemon's wait stays in the latency, which runs from the due time.
+        self.assertAlmostEqual(stats.latencies_ms(m[:1], open_loop=True)[0], 900.0)
+
     def test_a_late_generator_invalidates_the_run(self):
         late = [mission(i, sent=i + 0.05, recv=i + 0.1, due=float(i)) for i in range(100)]
         with self.assertRaises(stats.InvalidRun):
