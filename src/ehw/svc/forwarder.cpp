@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 
 #include "ehw/common/fault.hpp"
@@ -14,16 +15,6 @@
 
 namespace ehw::svc {
 namespace {
-
-Json greeting_frame() {
-  Json frame = Json::object();
-  frame.set("event", "hello");
-  frame.set("service", kServiceName);
-  frame.set("protocol", kProtocolVersion);
-  frame.set("version", kVersion);
-  frame.set("role", "forwarder");
-  return frame;
-}
 
 /// Sums one numeric field of a backend's cached "pool" section into an
 /// aggregate object (missing fields count 0).
@@ -52,10 +43,12 @@ Forwarder::Forwarder(ForwarderConfig config) : config_(std::move(config)) {
   // submit already has real capacity snapshots to place against, and
   // backends that are down at boot start down (no first-poll grace).
   for (std::size_t i = 0; i < backends_.size(); ++i) poll_backend(i);
-  listener_ = std::make_unique<Listener>(config_.address, config_.port);
-  port_ = listener_->port();
-  acceptor_ = std::thread([this] { accept_loop(); });
+  frontend_ = std::make_unique<Frontend>(
+      config_, Json::Object{{"role", "forwarder"}}, m_connections_,
+      std::bind_front(&Forwarder::handle_request, this));
   poller_ = std::thread([this] { poll_loop(); });
+  // Last: a session may read any member (and frontend_) from here on.
+  frontend_->start();
 }
 
 Forwarder::~Forwarder() { stop(); }
@@ -92,18 +85,10 @@ void Forwarder::stop() {
   }
   poll_cv_.notify_all();
   if (poller_.joinable()) poller_.join();
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listener_ != nullptr) listener_->close();
-  std::vector<std::unique_ptr<Session>> to_join;
-  {
-    std::lock_guard lock(sessions_mutex_);
-    to_join.swap(sessions_);
-  }
-  for (const auto& session : to_join) session->channel->shutdown();
+  frontend_->close();
+  // Wake result/watch waiters so they see stopping_ and return.
   state_cv_.notify_all();
-  for (const auto& session : to_join) {
-    if (session->thread.joinable()) session->thread.join();
-  }
+  frontend_->join();
   stopped_ = true;
 }
 
@@ -542,117 +527,11 @@ void Forwarder::finish_route_failed(const std::shared_ptr<Route>& route,
   state_cv_.notify_all();
 }
 
-// --- northbound service loop ------------------------------------------------
+// --- northbound ops ---------------------------------------------------------
 
-void Forwarder::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::optional<Socket> socket = listener_->accept_one(/*timeout_ms=*/100);
-    if (!socket.has_value()) continue;
-    socket->set_send_timeout(/*timeout_ms=*/10000);
-    auto session = std::make_unique<Session>(std::move(*socket));
-    Session* raw = session.get();
-    {
-      std::lock_guard lock(sessions_mutex_);
-      auto alive = sessions_.begin();
-      for (auto& existing : sessions_) {
-        if (existing->done.load(std::memory_order_acquire) &&
-            existing->thread.joinable()) {
-          existing->thread.join();
-          continue;
-        }
-        *alive++ = std::move(existing);
-      }
-      sessions_.erase(alive, sessions_.end());
-      sessions_.push_back(std::move(session));
-    }
-    m_connections_.add();
-    raw->thread = std::thread([this, raw] { session_loop(raw); });
-  }
-}
-
-void Forwarder::session_loop(Session* session) {
-  LineChannel& channel = *session->channel;
-  channel.set_max_line(config_.max_line);
-  if (config_.idle_timeout_ms > 0) {
-    channel.set_recv_timeout(config_.idle_timeout_ms);
-  }
-  if (channel.write_line(greeting_frame().dump())) {
-    std::string line;
-    for (;;) {
-      const LineChannel::ReadStatus read = channel.read_frame(line);
-      if (read == LineChannel::ReadStatus::kOversize) {
-        // Bounded buffering: the oversize frame was discarded as it
-        // streamed in, never accumulated. Tell the peer why, then hang
-        // up — framing is lost after a dropped line.
-        const Json response = make_error(
-            "frame exceeds the " + std::to_string(channel.max_line()) +
-                " byte line limit",
-            "oversize_frame");
-        static_cast<void>(channel.write_line(response.dump()));
-        break;
-      }
-      if (read == LineChannel::ReadStatus::kTimeout) {
-        const Json response = make_error(
-            "idle timeout: no request within " +
-                std::to_string(config_.idle_timeout_ms) + " ms",
-            "idle_timeout");
-        static_cast<void>(channel.write_line(response.dump()));
-        break;
-      }
-      if (read != LineChannel::ReadStatus::kLine) break;
-      Json request;
-      try {
-        request = Json::parse(line);
-        if (!request.is_object()) {
-          throw JsonError("request must be a JSON object", 0);
-        }
-      } catch (const JsonError& e) {
-        const Json response = make_error(
-            std::string("malformed request: ") + e.what(), "bad_request");
-        if (!channel.write_line(response.dump())) break;
-        continue;
-      }
-      std::optional<Json> response = handle_request(*session, request);
-      if (response.has_value()) {
-        if (const Json* id = request.get("id")) response->set("id", *id);
-        if (!channel.write_line(response->dump())) break;
-      }
-      if (session->close_after_reply) break;
-    }
-  }
-  channel.shutdown();
-  session->done.store(true, std::memory_order_release);
-}
-
-std::optional<Json> Forwarder::handle_request(Session& session,
-                                              const Json& request) {
-  const Json* op_field = request.get("op");
-  if (op_field == nullptr || !op_field->is_string()) {
-    return make_error("request is missing string member 'op'", "bad_request");
-  }
-  const std::string& op = op_field->as_string();
-  if (op == "hello") {
-    const double protocol = request.get_number("protocol", -1);
-    if (protocol != static_cast<double>(kProtocolVersion)) {
-      session.close_after_reply = true;
-      return make_error("unsupported protocol version (server speaks " +
-                            std::to_string(kProtocolVersion) + ")",
-                        "unsupported_protocol");
-    }
-    session.greeted = true;
-    Json response = make_ok();
-    response.set("service", kServiceName);
-    response.set("protocol", kProtocolVersion);
-    response.set("version", kVersion);
-    response.set("role", "forwarder");
-    return response;
-  }
-  if (!session.greeted) {
-    return make_error("handshake required: send {\"op\":\"hello\","
-                      "\"protocol\":" +
-                          std::to_string(kProtocolVersion) + "} first",
-                      "bad_request");
-  }
+std::optional<Json> Forwarder::handle_request(
+    const std::string& op, const Json& request,
+    const std::shared_ptr<LineChannel>& channel) {
   if (op == "submit") return handle_submit(request);
   if (op == "submit_batch") return handle_submit_batch(request);
   if (op == "status") return handle_status(request);
@@ -661,7 +540,7 @@ std::optional<Json> Forwarder::handle_request(Session& session,
   if (op == "list") return handle_list();
   if (op == "stats") return handle_stats();
   if (op == "health") return handle_health();
-  if (op == "watch") return handle_watch(session, request);
+  if (op == "watch") return handle_watch(channel, request);
   if (op == "drain") return handle_drain(request);
   if (op == "backend") return handle_backend(request);
   return make_error("unknown op '" + op + "'", "bad_request");
@@ -868,33 +747,8 @@ Json Forwarder::handle_submit_batch(const Json& request) {
 
 std::shared_ptr<Forwarder::Route> Forwarder::find_route(
     const Json& request, std::string& error) const {
-  const Json* job_field = request.get("job");
-  if (job_field == nullptr) {
-    error = "request is missing 'job' (id or name)";
-    return nullptr;
-  }
   std::lock_guard lock(state_mutex_);
-  if (job_field->is_number()) {
-    const double id = job_field->as_number();
-    const auto it = json_number_is_exact_int(id) && id >= 0
-                        ? routes_.find(static_cast<std::uint64_t>(id))
-                        : routes_.end();
-    if (it == routes_.end()) {
-      error = "no such job id " + job_field->dump();
-      return nullptr;
-    }
-    return it->second;
-  }
-  if (job_field->is_string()) {
-    const std::string& name = job_field->as_string();
-    for (auto it = routes_.rbegin(); it != routes_.rend(); ++it) {
-      if (it->second->spec.name == name) return it->second;
-    }
-    error = "no job named '" + name + "'";
-    return nullptr;
-  }
-  error = "'job' must be an id number or a name string";
-  return nullptr;
+  return find_record(routes_, request, error);
 }
 
 Json Forwarder::handle_status(const Json& request) {
@@ -1394,8 +1248,8 @@ Json Forwarder::handle_backend(const Json& request) {
       "bad_request");
 }
 
-std::optional<Json> Forwarder::handle_watch(Session& session,
-                                            const Json& request) {
+std::optional<Json> Forwarder::handle_watch(
+    const std::shared_ptr<LineChannel>& channel, const Json& request) {
   std::string error;
   const std::shared_ptr<Route> route = find_route(request, error);
   if (route == nullptr) return make_error(error, "unknown_job");
@@ -1404,7 +1258,6 @@ std::optional<Json> Forwarder::handle_watch(Session& session,
       json_number_is_exact_int(every_field) && every_field >= 1
           ? static_cast<std::uint64_t>(every_field)
           : 1;
-  const std::shared_ptr<LineChannel> channel = session.channel;
   std::uint64_t front_id;
   {
     std::lock_guard lock(state_mutex_);

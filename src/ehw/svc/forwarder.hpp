@@ -49,8 +49,8 @@
 #include "ehw/obs/metrics.hpp"
 #include "ehw/sched/placement.hpp"
 #include "ehw/svc/client.hpp"
+#include "ehw/svc/frontend.hpp"
 #include "ehw/svc/protocol.hpp"
-#include "ehw/svc/socket.hpp"
 
 namespace ehw::svc {
 
@@ -62,10 +62,8 @@ struct BackendConfig {
   std::string journal_dir;
 };
 
-struct ForwarderConfig {
-  /// Northbound bind address/port (0 = ephemeral, see Forwarder::port()).
-  std::string address = "127.0.0.1";
-  std::uint16_t port = 0;
+/// The FrontendConfig base is the northbound endpoint and session armor.
+struct ForwarderConfig : FrontendConfig {
   std::vector<BackendConfig> backends;
   /// Backend stats-poll cadence (placement freshness + liveness).
   int poll_ms = 250;
@@ -75,10 +73,6 @@ struct ForwarderConfig {
   /// Blocking ops (result/watch) always run unbounded and rely on the
   /// peer's death resetting the connection.
   int io_timeout_ms = 5000;
-  /// Northbound per-session frame-length bound; 0 = LineChannel default.
-  std::size_t max_line = 0;
-  /// Northbound idle-session bound (ms); 0 = disabled. See ServerConfig.
-  int idle_timeout_ms = 0;
 };
 
 /// Point-in-time forwarder counters (the "stats" op's cluster.forwarder
@@ -114,7 +108,9 @@ class Forwarder {
   Forwarder(const Forwarder&) = delete;
   Forwarder& operator=(const Forwarder&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return frontend_->port();
+  }
   [[nodiscard]] const ForwarderConfig& config() const noexcept {
     return config_;
   }
@@ -220,20 +216,10 @@ class Forwarder {
     std::size_t opt_lanes = 0;
     std::size_t opt_jobs = 0;
   };
-  struct Session {
-    explicit Session(Socket socket)
-        : channel(std::make_shared<LineChannel>(std::move(socket))) {}
-    std::shared_ptr<LineChannel> channel;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    bool greeted = false;            // session-thread only
-    bool close_after_reply = false;  // session-thread only
-  };
-
-  void accept_loop();
-  void session_loop(Session* session);
-  [[nodiscard]] std::optional<Json> handle_request(Session& session,
-                                                   const Json& request);
+  /// The Frontend handler: the forwarder's ops.
+  [[nodiscard]] std::optional<Json> handle_request(
+      const std::string& op, const Json& request,
+      const std::shared_ptr<LineChannel>& channel);
   [[nodiscard]] Json handle_submit(const Json& request);
   [[nodiscard]] Json handle_submit_batch(const Json& request);
   [[nodiscard]] Json handle_status(const Json& request);
@@ -247,8 +233,8 @@ class Forwarder {
   /// (indices are never reused — routes keep their backend index) and
   /// fails the victim's unfinished routes over to the survivors.
   [[nodiscard]] Json handle_backend(const Json& request);
-  [[nodiscard]] std::optional<Json> handle_watch(Session& session,
-                                                 const Json& request);
+  [[nodiscard]] std::optional<Json> handle_watch(
+      const std::shared_ptr<LineChannel>& channel, const Json& request);
   [[nodiscard]] Json handle_drain(const Json& request);
   /// Polls until no route is queued/running on its backend (drain-wait).
   void wait_routes_idle();
@@ -301,7 +287,6 @@ class Forwarder {
   void refresh_gauges();
 
   ForwarderConfig config_;
-  std::uint16_t port_ = 0;
 
   // Telemetry. Declared before every thread that records into it; the
   // counter references REPLACE the old guarded tallies (the wire shape
@@ -334,13 +319,10 @@ class Forwarder {
 
   sched::PlacementPolicy placement_;
 
-  std::unique_ptr<Listener> listener_;
-  std::thread acceptor_;
   std::thread poller_;
   std::mutex poll_mutex_;
   std::condition_variable poll_cv_;
-  mutable std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  std::unique_ptr<Frontend> frontend_;
 };
 
 }  // namespace ehw::svc

@@ -15,9 +15,13 @@
 // was requested), "bad_spec", "unknown_job", "bad_request",
 // "unsupported_protocol".
 //
-// Ops: hello, submit, submit_batch, status, result (blocks until the job
-// finishes), cancel, list, stats, watch (streams
-// {"event":"progress"|"done"} frames after its ok-response), drain.
+// Ops (svc::Server and svc::Forwarder alike; the handshake and the
+// session layer are svc::Frontend's): hello, submit, submit_batch,
+// status, result (blocks until the job finishes), cancel, list, stats,
+// health, watch (streams {"event":"progress"|"done"} frames after its
+// ok-response), drain, trace (the process-wide span tracer:
+// dump|arm|disarm|clear). A forwarder also answers backend (live
+// membership: add|remove|list).
 //
 // Submit payloads reuse the batch-manifest vocabulary: {"op":"submit",
 // "spec":{"kind":"denoise","name":"dn0","lanes":2,"generations":300,...}}
@@ -39,6 +43,9 @@
 // order) or the whole batch is rejected (one bad spec names its index;
 // "queue_full" when the batch doesn't fit the inflight cap).
 
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 
 #include "ehw/common/json.hpp"
@@ -82,5 +89,40 @@ inline constexpr const char* kServiceName = "mpa-ehw-mission-service";
 [[nodiscard]] Json make_ok();
 [[nodiscard]] Json make_error(const std::string& message,
                               const std::string& code);
+
+/// Resolves a request's "job" member in an id-keyed registry of records
+/// carrying a `spec`: an id number, or a mission name where the latest
+/// record wins (names may repeat over time). nullptr with `error` set
+/// when the member is missing, malformed or unknown. The caller holds
+/// the registry's lock.
+template <typename Record>
+[[nodiscard]] std::shared_ptr<Record> find_record(
+    const std::map<std::uint64_t, std::shared_ptr<Record>>& records,
+    const Json& request, std::string& error) {
+  const Json* job_field = request.get("job");
+  if (job_field == nullptr) {
+    error = "request is missing 'job' (id or name)";
+    return nullptr;
+  }
+  if (job_field->is_number()) {
+    const double id = job_field->as_number();
+    const auto it = json_number_is_exact_int(id) && id >= 0
+                        ? records.find(static_cast<std::uint64_t>(id))
+                        : records.end();
+    if (it != records.end()) return it->second;
+    error = "no such job id " + job_field->dump();
+    return nullptr;
+  }
+  if (job_field->is_string()) {
+    const std::string& name = job_field->as_string();
+    for (auto it = records.rbegin(); it != records.rend(); ++it) {
+      if (it->second->spec.name == name) return it->second;
+    }
+    error = "no job named '" + name + "'";
+    return nullptr;
+  }
+  error = "'job' must be an id number or a name string";
+  return nullptr;
+}
 
 }  // namespace ehw::svc

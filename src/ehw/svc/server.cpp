@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <random>
 
@@ -15,17 +16,6 @@
 
 namespace ehw::svc {
 namespace {
-
-Json greeting_frame(const std::string& instance_id, std::uint64_t epoch) {
-  Json frame = Json::object();
-  frame.set("event", "hello");
-  frame.set("service", kServiceName);
-  frame.set("protocol", kProtocolVersion);
-  frame.set("version", kVersion);
-  frame.set("instance_id", instance_id);
-  frame.set("epoch", epoch);
-  return frame;
-}
 
 /// One pool-counters object (the "pool" aggregate and each "pools" row
 /// share the shape).
@@ -73,9 +63,11 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   // incarnation already see every surviving job, and resumed missions
   // are back in flight before the first new submit competes for lanes.
   replay_journal();
-  listener_ = std::make_unique<Listener>(config_.address, config_.port);
-  port_ = listener_->port();
-  acceptor_ = std::thread([this] { accept_loop(); });
+  frontend_ = std::make_unique<Frontend>(
+      config_, Json::Object{{"instance_id", instance_id_}, {"epoch", epoch_}},
+      m_connections_, std::bind_front(&Server::handle_request, this));
+  // Last: a session may read any member (and frontend_) from here on.
+  frontend_->start();
 }
 
 Server::~Server() { stop(); }
@@ -302,29 +294,11 @@ void Server::wait_drained() {
 
 void Server::stop() {
   if (stopped_) return;
-  stopping_.store(true, std::memory_order_relaxed);
-  // The acceptor polls with a short timeout and re-checks stopping_, so
-  // join it FIRST and only then close the listener fd — closing while
-  // the acceptor is inside poll/accept would race on the descriptor.
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listener_ != nullptr) listener_->close();
-  // Take the sessions out under the lock but JOIN them outside it: a
-  // session thread may be inside the "stats" handler, which locks
-  // sessions_mutex_ via service_stats() — joining while holding it
-  // would deadlock. The acceptor is already joined, so nothing else
-  // appends to sessions_.
-  std::vector<std::unique_ptr<Session>> to_join;
-  {
-    std::lock_guard lock(sessions_mutex_);
-    to_join.swap(sessions_);
-  }
-  for (const auto& session : to_join) session->channel->shutdown();
+  frontend_->close();
   // Let in-flight jobs finish first: sessions blocked in a "result" op
   // only unblock when their job does.
   group_->wait_all();
-  for (const auto& session : to_join) {
-    if (session->thread.joinable()) session->thread.join();
-  }
+  frontend_->join();
   // A session may have submitted between the first wait and its join.
   group_->wait_all();
   // Durable daemons snapshot memo + cache recipes on the way out; the
@@ -338,14 +312,7 @@ void Server::stop() {
 
 ServiceStats Server::service_stats() const {
   ServiceStats stats;
-  {
-    std::lock_guard lock(sessions_mutex_);
-    for (const auto& session : sessions_) {
-      if (!session->done.load(std::memory_order_relaxed)) {
-        ++stats.sessions_open;
-      }
-    }
-  }
+  stats.sessions_open = frontend_->sessions_open();
   {
     std::lock_guard lock(state_mutex_);
     stats.inflight = inflight_;
@@ -382,120 +349,9 @@ JournalStats Server::journal_stats() const {
   return stats;
 }
 
-void Server::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::optional<Socket> socket = listener_->accept_one(/*timeout_ms=*/100);
-    if (!socket.has_value()) continue;
-    // A client that stops reading must not wedge the job thread writing
-    // its progress events (or a session reply) forever: bound the stall,
-    // then the channel poisons itself and the subscription goes quiet.
-    socket->set_send_timeout(/*timeout_ms=*/10000);
-    auto session = std::make_unique<Session>(std::move(*socket));
-    Session* raw = session.get();
-    {
-      std::lock_guard lock(sessions_mutex_);
-      // Reap sessions whose threads already finished.
-      auto alive = sessions_.begin();
-      for (auto& existing : sessions_) {
-        if (existing->done.load(std::memory_order_acquire) &&
-            existing->thread.joinable()) {
-          existing->thread.join();
-          continue;
-        }
-        *alive++ = std::move(existing);
-      }
-      sessions_.erase(alive, sessions_.end());
-      sessions_.push_back(std::move(session));
-    }
-    m_connections_.add();
-    raw->thread = std::thread([this, raw] { session_loop(raw); });
-  }
-}
-
-void Server::session_loop(Session* session) {
-  LineChannel& channel = *session->channel;
-  channel.set_max_line(config_.max_line);
-  if (config_.idle_timeout_ms > 0) {
-    channel.set_recv_timeout(config_.idle_timeout_ms);
-  }
-  if (channel.write_line(greeting_frame(instance_id_, epoch_).dump())) {
-    std::string line;
-    for (;;) {
-      const LineChannel::ReadStatus read = channel.read_frame(line);
-      if (read == LineChannel::ReadStatus::kOversize) {
-        // Clean protocol error, then close: framing is unrecoverable
-        // past a frame that never ended (and the buffer was dropped, so
-        // memory stayed bounded).
-        const Json response = make_error(
-            "frame exceeds the " + std::to_string(channel.max_line()) +
-                " byte line limit",
-            "oversize_frame");
-        static_cast<void>(channel.write_line(response.dump()));
-        break;
-      }
-      if (read == LineChannel::ReadStatus::kTimeout) {
-        const Json response = make_error(
-            "idle timeout: no request within " +
-                std::to_string(config_.idle_timeout_ms) + " ms",
-            "idle_timeout");
-        static_cast<void>(channel.write_line(response.dump()));
-        break;
-      }
-      if (read != LineChannel::ReadStatus::kLine) break;  // closed
-      Json request;
-      try {
-        request = Json::parse(line);
-        if (!request.is_object()) {
-          throw JsonError("request must be a JSON object", 0);
-        }
-      } catch (const JsonError& e) {
-        const Json response = make_error(
-            std::string("malformed request: ") + e.what(), "bad_request");
-        if (!channel.write_line(response.dump())) break;
-        continue;
-      }
-      std::optional<Json> response = handle_request(*session, request);
-      if (response.has_value()) {
-        if (const Json* id = request.get("id")) response->set("id", *id);
-        if (!channel.write_line(response->dump())) break;
-      }
-      if (session->close_after_reply) break;
-    }
-  }
-  channel.shutdown();
-  session->done.store(true, std::memory_order_release);
-}
-
-std::optional<Json> Server::handle_request(Session& session,
-                                           const Json& request) {
-  const Json* op_field = request.get("op");
-  if (op_field == nullptr || !op_field->is_string()) {
-    return make_error("request is missing string member 'op'", "bad_request");
-  }
-  const std::string& op = op_field->as_string();
-  if (op == "hello") {
-    const double protocol = request.get_number("protocol", -1);
-    if (protocol != static_cast<double>(kProtocolVersion)) {
-      session.close_after_reply = true;
-      return make_error("unsupported protocol version (server speaks " +
-                            std::to_string(kProtocolVersion) + ")",
-                        "unsupported_protocol");
-    }
-    session.greeted = true;
-    Json response = make_ok();
-    response.set("service", kServiceName);
-    response.set("protocol", kProtocolVersion);
-    response.set("version", kVersion);
-    response.set("instance_id", instance_id_);
-    response.set("epoch", epoch_);
-    return response;
-  }
-  if (!session.greeted) {
-    return make_error("handshake required: send {\"op\":\"hello\","
-                      "\"protocol\":" +
-                          std::to_string(kProtocolVersion) + "} first",
-                      "bad_request");
-  }
+std::optional<Json> Server::handle_request(
+    const std::string& op, const Json& request,
+    const std::shared_ptr<LineChannel>& channel) {
   if (op == "submit") return handle_submit(request);
   if (op == "submit_batch") return handle_submit_batch(request);
   if (op == "status") return handle_status(request);
@@ -504,9 +360,8 @@ std::optional<Json> Server::handle_request(Session& session,
   if (op == "list") return handle_list();
   if (op == "stats") return handle_stats();
   if (op == "health") return handle_health();
-  if (op == "watch") return handle_watch(session, request);
+  if (op == "watch") return handle_watch(channel, request);
   if (op == "drain") return handle_drain(request);
-  if (op == "trace") return handle_trace(request);
   return make_error("unknown op '" + op + "'", "bad_request");
 }
 
@@ -856,34 +711,8 @@ void Server::prune_finished_locked() {
 
 std::shared_ptr<Server::JobRecord> Server::find_job(
     const Json& request, std::string& error) const {
-  const Json* job_field = request.get("job");
-  if (job_field == nullptr) {
-    error = "request is missing 'job' (id or name)";
-    return nullptr;
-  }
   std::lock_guard lock(state_mutex_);
-  if (job_field->is_number()) {
-    const double id = job_field->as_number();
-    const auto it = json_number_is_exact_int(id) && id >= 0
-                        ? jobs_.find(static_cast<std::uint64_t>(id))
-                        : jobs_.end();
-    if (it == jobs_.end()) {
-      error = "no such job id " + job_field->dump();
-      return nullptr;
-    }
-    return it->second;
-  }
-  if (job_field->is_string()) {
-    const std::string& name = job_field->as_string();
-    // Latest submission with that name wins (names may repeat over time).
-    for (auto it = jobs_.rbegin(); it != jobs_.rend(); ++it) {
-      if (it->second->spec.name == name) return it->second;
-    }
-    error = "no job named '" + name + "'";
-    return nullptr;
-  }
-  error = "'job' must be an id number or a name string";
-  return nullptr;
+  return find_record(jobs_, request, error);
 }
 
 Json Server::handle_status(const Json& request) {
@@ -1169,8 +998,8 @@ Json Server::handle_health() {
   return response;
 }
 
-std::optional<Json> Server::handle_watch(Session& session,
-                                         const Json& request) {
+std::optional<Json> Server::handle_watch(
+    const std::shared_ptr<LineChannel>& channel, const Json& request) {
   std::string error;
   const std::shared_ptr<JobRecord> record = find_job(request, error);
   if (record == nullptr) return make_error(error, "unknown_job");
@@ -1183,7 +1012,6 @@ std::optional<Json> Server::handle_watch(Session& session,
   ack.set("job", record->id);
   ack.set("watching", record->spec.name);
   if (const Json* id = request.get("id")) ack.set("id", *id);
-  const std::shared_ptr<LineChannel> channel = session.channel;
   const std::uint64_t job_id = record->id;
   const auto observer = [channel, job_id,
                          every](const sched::MissionEvent& event) {
@@ -1219,13 +1047,13 @@ std::optional<Json> Server::handle_watch(Session& session,
   if (runner == nullptr) {
     // Replayed/terminal: ack, then an immediate synthesized done frame
     // (exactly what a live watch on a finished job delivers).
-    static_cast<void>(session.channel->write_line(ack.dump()));
+    static_cast<void>(channel->write_line(ack.dump()));
     Json frame = Json::object();
     frame.set("event", "done");
     frame.set("job", record->id);
     frame.set("status", record->journal_status);
     frame.set("waves", record->journal_waves);
-    static_cast<void>(session.channel->write_line(frame.dump()));
+    static_cast<void>(channel->write_line(frame.dump()));
     return std::nullopt;
   }
   // Subscribe BEFORE writing the ack: once the client has the ack it
@@ -1235,32 +1063,9 @@ std::optional<Json> Server::handle_watch(Session& session,
   runner->subscribe(observer);
   // A watching session legitimately goes quiet (events flow the other
   // way) — exempt it from the idle-session bound for its lifetime.
-  session.channel->set_recv_timeout(0);
-  static_cast<void>(session.channel->write_line(ack.dump()));
+  channel->set_recv_timeout(0);
+  static_cast<void>(channel->write_line(ack.dump()));
   return std::nullopt;
-}
-
-Json Server::handle_trace(const Json& request) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  const std::string mode = request.get_string("mode", "dump");
-  Json response = make_ok();
-  if (mode == "arm") {
-    tracer.arm();
-  } else if (mode == "disarm") {
-    tracer.disarm();
-  } else if (mode == "clear") {
-    tracer.clear();
-  } else if (mode == "dump") {
-    response.set("trace", tracer.export_chrome());
-  } else {
-    return make_error(
-        "unknown trace mode '" + mode + "' (dump|arm|disarm|clear)",
-        "bad_request");
-  }
-  response.set("armed", obs::Tracer::armed());
-  response.set("recorded", tracer.recorded());
-  response.set("dropped", tracer.dropped());
-  return response;
 }
 
 void Server::refresh_gauges() {

@@ -1,13 +1,8 @@
 #pragma once
 // svc::Server — the mission service daemon: a loopback TCP front-end
 // over a sched::PoolGroup (one or more ArrayPools behind a placement
-// policy; see pool_group.hpp for why sharding helps a busy daemon).
-//
-// Threading model: one acceptor thread polls the listener; each
-// connection gets a session thread running the request loop. Progress
-// events for watched jobs are written from the JOB's thread (via
-// MissionRunner::subscribe) through the session's LineChannel, whose
-// write lock keeps frames from interleaving with responses.
+// policy; see pool_group.hpp for why sharding helps a busy daemon). The
+// sessions, frame armor and handshake are svc::Frontend's (frontend.hpp).
 //
 // Admission control: at most `max_inflight` jobs may be submitted but
 // not yet finished (queued in the pool counts); beyond that, submits are
@@ -42,23 +37,17 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ehw/obs/metrics.hpp"
 #include "ehw/sched/pool_group.hpp"
+#include "ehw/svc/frontend.hpp"
 #include "ehw/svc/journal.hpp"
 #include "ehw/svc/protocol.hpp"
-#include "ehw/svc/socket.hpp"
 
 namespace ehw::svc {
 
-struct ServerConfig {
-  /// Bind address; loopback by default (the service is an operator-local
-  /// daemon — remote backends are a future layer).
-  std::string address = "127.0.0.1";
-  /// 0 = ephemeral; the chosen port is readable via Server::port().
-  std::uint16_t port = 0;
+struct ServerConfig : FrontendConfig {
   /// The scheduler pool(s) the daemon fronts. Each of `pools` shards is
   /// built from `pool` (per-pool queue, locks, cache + memo); submits are
   /// routed across them by the group's PlacementPolicy (free capacity +
@@ -84,14 +73,6 @@ struct ServerConfig {
   /// Persist the FitnessMemo + compiled-array cache to warm.json on
   /// graceful stop and preload them on startup (journaled daemons only).
   bool persist_warm = true;
-  /// Per-session frame-length bound; 0 = LineChannel::kMaxLine (1 MiB).
-  /// An oversize frame gets a clean "oversize_frame" error and a close —
-  /// never unbounded buffering.
-  std::size_t max_line = 0;
-  /// Close sessions that send no request for this long (ms). Watch
-  /// streams are exempt once subscribed (they legitimately go quiet).
-  /// 0 disables the bound (library/test default — `mpa serve` arms it).
-  int idle_timeout_ms = 0;
 };
 
 /// Journal/recovery counters (the "stats" op's journal section). All
@@ -135,7 +116,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return frontend_->port();
+  }
   [[nodiscard]] const ServerConfig& config() const noexcept {
     return config_;
   }
@@ -216,23 +199,11 @@ class Server {
     /// so progress streams survive a migration. Guarded by state_mutex_.
     std::vector<std::function<void(const sched::MissionEvent&)>> watchers;
   };
-  struct Session {
-    explicit Session(Socket socket)
-        : channel(std::make_shared<LineChannel>(std::move(socket))) {}
-    /// Shared so watch subscriptions can outlive the session thread (the
-    /// channel just starts failing writes once the peer is gone).
-    std::shared_ptr<LineChannel> channel;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    bool greeted = false;           // session-thread only
-    bool close_after_reply = false;  // session-thread only
-  };
-
-  void accept_loop();
-  void session_loop(Session* session);
-  /// nullopt when the handler already wrote its own frames (watch).
-  [[nodiscard]] std::optional<Json> handle_request(Session& session,
-                                                   const Json& request);
+  /// The Frontend handler: this daemon's ops. nullopt when the handler
+  /// already wrote its own frames (watch).
+  [[nodiscard]] std::optional<Json> handle_request(
+      const std::string& op, const Json& request,
+      const std::shared_ptr<LineChannel>& channel);
   [[nodiscard]] Json handle_submit(const Json& request);
   [[nodiscard]] Json handle_submit_batch(const Json& request);
   /// Registers one admitted job: pool submission, record registry,
@@ -245,9 +216,8 @@ class Server {
   [[nodiscard]] Json handle_list();
   [[nodiscard]] Json handle_stats();
   [[nodiscard]] Json handle_health();
-  [[nodiscard]] Json handle_trace(const Json& request);
-  [[nodiscard]] std::optional<Json> handle_watch(Session& session,
-                                                 const Json& request);
+  [[nodiscard]] std::optional<Json> handle_watch(
+      const std::shared_ptr<LineChannel>& channel, const Json& request);
   [[nodiscard]] Json handle_drain(const Json& request);
   [[nodiscard]] std::shared_ptr<JobRecord> find_job(const Json& request,
                                                     std::string& error) const;
@@ -285,7 +255,6 @@ class Server {
 
   ServerConfig config_;
   std::size_t max_inflight_ = 0;
-  std::uint16_t port_ = 0;
   std::string instance_id_;   // constructor-written, then immutable
   std::uint64_t epoch_ = 1;   // constructor-written, then immutable
 
@@ -323,7 +292,7 @@ class Server {
   std::uint64_t warm_memo_loaded_ = 0;
   std::uint64_t warm_cache_loaded_ = 0;
 
-  // Service state. Declared before the pool/listener/threads so it is
+  // Service state. Declared before the pool and the front end so it is
   // destroyed last (job-finished callbacks lock state_mutex_).
   mutable std::mutex state_mutex_;
   std::condition_variable state_cv_;
@@ -334,14 +303,10 @@ class Server {
   /// m_inflight_ mirrors it for the scrape path.
   std::size_t inflight_ = 0;
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
   bool stopped_ = false;  // stop() ran to completion (main thread only)
 
   std::unique_ptr<sched::PoolGroup> group_;
-  std::unique_ptr<Listener> listener_;
-  std::thread acceptor_;
-  mutable std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  std::unique_ptr<Frontend> frontend_;
 };
 
 }  // namespace ehw::svc

@@ -3,7 +3,8 @@
 // placement-routed submits (results bit-identical to standalone runs no
 // matter which backend hosts them), batch fan-out, name-keyed ops,
 // watch streaming through the front, cluster stats/health views, drain
-// fan-out, and multi-pool sharded servers behind the front.
+// fan-out, multi-pool sharded servers behind the front, and the shared
+// session layer (handshake, frame armor, the trace op) on the front.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +17,12 @@
 #include <vector>
 
 #include "ehw/common/persist.hpp"
+#include "ehw/obs/trace.hpp"
 #include "ehw/sched/missions.hpp"
 #include "ehw/svc/client.hpp"
 #include "ehw/svc/forwarder.hpp"
 #include "ehw/svc/server.hpp"
+#include "ehw/svc/socket.hpp"
 
 namespace ehw::svc {
 namespace {
@@ -93,6 +96,21 @@ Json backend_list(Client& client) {
   request.set("op", "backend");
   request.set("action", "list");
   return client.request(request);
+}
+
+/// One {"op":"trace","mode":...} round trip.
+Json trace_op(Client& client, const char* mode) {
+  Json request = Json::object();
+  request.set("op", "trace");
+  request.set("mode", mode);
+  return client.request(request);
+}
+
+/// An object's keys in wire order, comma-terminated.
+std::string key_order(const Json& object) {
+  std::string keys;
+  for (const auto& [key, value] : object.as_object()) keys += key + ",";
+  return keys;
 }
 
 void expect_matches_standalone(const Json& result,
@@ -623,6 +641,120 @@ TEST(Cluster, BackendAddAndRemoveReshapeMembershipLive) {
   ASSERT_TRUE(last.ok) << last.error;
   expect_matches_standalone(client.result(last.job), after);
   extra.stop();
+}
+
+// --- the shared session layer on the front ---------------------------------
+
+TEST(ClusterFront, AnswersTraceInAllFourModes) {
+  // The tracer is process-global: leave it armed or disarmed as found.
+  struct RestoreTracer {
+    bool armed = obs::Tracer::armed();
+    ~RestoreTracer() {
+      if (armed) {
+        obs::Tracer::global().arm();
+      } else {
+        obs::Tracer::global().disarm();
+      }
+    }
+  } restore;
+  Cluster cluster;
+  Client client = cluster.client();
+
+  const Json armed = trace_op(client, "arm");
+  ASSERT_TRUE(armed.get_bool("ok", false)) << armed.get_string("error", "");
+  EXPECT_TRUE(armed.get_bool("armed", false));
+  // A routed mission makes the front record its southbound round trips.
+  const Client::Submitted submitted = client.submit(quick_spec("traced", 3));
+  ASSERT_TRUE(submitted.ok) << submitted.error;
+  static_cast<void>(client.result(submitted.job));
+
+  const Json dump = trace_op(client, "dump");
+  ASSERT_TRUE(dump.get_bool("ok", false));
+  const Json* trace = dump.get("trace");
+  ASSERT_NE(trace, nullptr);
+  const Json* events = trace->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  bool roundtrip = false;
+  for (const Json& event : events->as_array()) {
+    roundtrip = roundtrip || event.get_string("name", "") == "rpc_roundtrip";
+  }
+  EXPECT_TRUE(roundtrip);
+
+  const Json disarmed = trace_op(client, "disarm");
+  ASSERT_TRUE(disarmed.get_bool("ok", false));
+  EXPECT_FALSE(disarmed.get_bool("armed", true));
+  EXPECT_FALSE(obs::Tracer::armed());
+
+  const Json cleared = trace_op(client, "clear");
+  ASSERT_TRUE(cleared.get_bool("ok", false));
+  EXPECT_EQ(cleared.get_number("recorded", -1), 0.0);
+
+  // Exactly a daemon's reply: same keys in the same order, and the same
+  // refusal of an unknown mode.
+  Client direct(cluster.servers[0]->port());
+  EXPECT_EQ(key_order(trace_op(direct, "disarm")), key_order(disarmed));
+  EXPECT_EQ(trace_op(client, "rewind").get_string("code", ""),
+            "bad_request");
+}
+
+TEST(ClusterFront, FrameArmorHoldsOnTheFront) {
+  Server backend(backend_config(1));
+  ForwarderConfig config;
+  BackendConfig endpoint;
+  endpoint.port = backend.port();
+  config.backends.push_back(endpoint);
+  config.max_line = 4096;
+  config.idle_timeout_ms = 300;
+  Forwarder forwarder(std::move(config));
+  std::string line;
+
+  {
+    LineChannel channel(Socket::connect_to("127.0.0.1", forwarder.port()));
+    ASSERT_TRUE(channel.read_line(line));
+    const Json greeting = Json::parse(line);
+    EXPECT_EQ(key_order(greeting), "event,service,protocol,version,role,");
+    EXPECT_EQ(greeting.get_string("role", ""), "forwarder");
+    ASSERT_TRUE(channel.write_line(R"({"op":"hello","protocol":1})"));
+    ASSERT_TRUE(channel.read_line(line));
+    EXPECT_EQ(key_order(Json::parse(line)),
+              "ok,service,protocol,version,role,");
+
+    // Malformed frame: an error response, connection stays usable.
+    ASSERT_TRUE(channel.write_line("this is not json"));
+    ASSERT_TRUE(channel.read_line(line));
+    EXPECT_EQ(Json::parse(line).get_string("code", ""), "bad_request");
+
+    // Unknown op, with the request id echoed back.
+    ASSERT_TRUE(channel.write_line(R"({"op":"transmogrify","id":42})"));
+    ASSERT_TRUE(channel.read_line(line));
+    const Json unknown = Json::parse(line);
+    EXPECT_EQ(unknown.get_string("code", ""), "bad_request");
+    EXPECT_EQ(unknown.get_number("id", -1), 42.0);
+  }
+  {
+    // Oversize frame: a clean protocol error, then the front hangs up.
+    LineChannel channel(Socket::connect_to("127.0.0.1", forwarder.port()));
+    ASSERT_TRUE(channel.read_line(line));  // greeting
+    ASSERT_TRUE(channel.write_line(std::string(64 * 1024, 'x')));
+    ASSERT_TRUE(channel.read_line(line));
+    EXPECT_EQ(Json::parse(line).get_string("code", ""), "oversize_frame");
+    EXPECT_FALSE(channel.read_line(line));
+  }
+  {
+    // A silent session is evicted with an explicit error.
+    LineChannel channel(Socket::connect_to("127.0.0.1", forwarder.port()));
+    ASSERT_TRUE(channel.read_line(line));  // greeting
+    ASSERT_TRUE(channel.read_line(line));
+    EXPECT_EQ(Json::parse(line).get_string("code", ""), "idle_timeout");
+    EXPECT_FALSE(channel.read_line(line));
+  }
+
+  // The front itself is unharmed.
+  Client client(forwarder.port());
+  EXPECT_TRUE(client.stats().get_bool("ok", false));
+  forwarder.stop();
+  backend.stop();
 }
 
 }  // namespace

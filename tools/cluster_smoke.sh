@@ -78,6 +78,14 @@ QUICK=$("$MPA" submit --port "$PORT_F" denoise quick lanes=1 generations=8 size=
   || fail "routed submit failed: $QUICK"
 echo "$QUICK" | grep -q "done: fitness" || fail "no routed result in: $QUICK"
 
+# ---- the front answers `trace` like a daemon: its southbound hops ------
+TRACE_F="$WORKDIR/cluster_forward_trace.json"
+rm -f "$TRACE_F"
+"$MPA" trace "$TRACE_F" --port "$PORT_F" >/dev/null \
+  || fail "mpa trace against the front failed"
+grep -q '"rpc_roundtrip"' "$TRACE_F" \
+  || fail "front trace has no rpc_roundtrip span: $(head -c 300 "$TRACE_F")"
+
 "$MPA" health --port "$PORT_F" --cluster | grep -q "unreachable backends 0" \
   || fail "health --cluster does not show both backends up"
 

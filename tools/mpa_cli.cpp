@@ -495,6 +495,26 @@ std::unique_ptr<svc::MetricsHttp> make_metrics_endpoint(
   return endpoint;
 }
 
+/// Shared northbound flags of serve/forward: --address, --port,
+/// --idle-timeout-ms and --max-line. A served endpoint always bounds idle
+/// sessions and frame length (library embedders opt in); an idle timeout
+/// of 0 disables that bound.
+void parse_frontend_flags(const Cli& cli, const char* cmd_usage,
+                          svc::FrontendConfig& config) {
+  config.address = cli.get("address", "127.0.0.1");
+  const std::int64_t port = cli.get_int("port", 0);
+  if (port < 0 || port > 65535) {
+    fail("invalid --port (0 = ephemeral, else 1-65535)", cmd_usage);
+  }
+  config.port = static_cast<std::uint16_t>(port);
+  const std::int64_t idle_ms = cli.get_int("idle-timeout-ms", 300'000);
+  if (idle_ms < 0) fail("invalid --idle-timeout-ms (>= 0)", cmd_usage);
+  config.idle_timeout_ms = static_cast<int>(idle_ms);
+  const std::int64_t max_line = cli.get_int("max-line", 0);
+  if (max_line < 0) fail("invalid --max-line (bytes, 0 = default)", cmd_usage);
+  config.max_line = static_cast<std::size_t>(max_line);
+}
+
 int cmd_serve(const Cli& cli) {
   arm_fault_plan(cli);
   // The daemon always records spans — the per-thread rings are near-free
@@ -502,12 +522,7 @@ int cmd_serve(const Cli& cli) {
   // embedders construct Server directly and stay disarmed.
   obs::Tracer::global().arm();
   svc::ServerConfig config;
-  config.address = cli.get("address", "127.0.0.1");
-  const std::int64_t port = cli.get_int("port", 0);
-  if (port < 0 || port > 65535) {
-    fail("invalid --port (0 = ephemeral, else 1-65535)", kServeUsage);
-  }
-  config.port = static_cast<std::uint16_t>(port);
+  parse_frontend_flags(cli, kServeUsage, config);
   const std::int64_t pools = cli.get_int("pools", 1);
   if (pools < 1) fail("invalid --pools (>= 1)", kServeUsage);
   config.pools = static_cast<std::size_t>(pools);
@@ -529,15 +544,6 @@ int cmd_serve(const Cli& cli) {
   }
   config.checkpoint_every = static_cast<std::uint64_t>(checkpoint_every);
   config.persist_warm = !bare_flag(cli, "no-warm", kServeUsage);
-  // Protocol armor: a served daemon always bounds idle sessions and
-  // frame length (library embedders opt in). 0 disables the idle bound.
-  const std::int64_t idle_ms = cli.get_int("idle-timeout-ms", 300'000);
-  if (idle_ms < 0) fail("invalid --idle-timeout-ms (>= 0)", kServeUsage);
-  config.idle_timeout_ms = static_cast<int>(idle_ms);
-  const std::int64_t max_line = cli.get_int("max-line", 0);
-  if (max_line < 0) fail("invalid --max-line (bytes, 0 = default)",
-                         kServeUsage);
-  config.max_line = static_cast<std::size_t>(max_line);
   ThreadPool host_pool;
   config.pool.host_pool = &host_pool;
 
@@ -618,23 +624,14 @@ svc::BackendConfig parse_backend(const std::string& arg) {
 
 int cmd_forward(const Cli& cli) {
   arm_fault_plan(cli, "forward", kForwardUsage);
+  // Same as `mpa serve`: the front records spans (its southbound round
+  // trips) so `mpa trace --port FRONT` has data on demand.
+  obs::Tracer::global().arm();
   svc::ForwarderConfig config;
-  config.address = cli.get("address", "127.0.0.1");
-  const std::int64_t port = cli.get_int("port", 0);
-  if (port < 0 || port > 65535) {
-    fail("invalid --port (0 = ephemeral, else 1-65535)", kForwardUsage);
-  }
-  config.port = static_cast<std::uint16_t>(port);
+  parse_frontend_flags(cli, kForwardUsage, config);
   config.poll_ms = static_cast<int>(cli.get_int("poll-ms", 250));
   config.down_after = static_cast<int>(cli.get_int("down-after", 2));
   config.io_timeout_ms = static_cast<int>(cli.get_int("timeout-ms", 5000));
-  const std::int64_t idle_ms = cli.get_int("idle-timeout-ms", 300'000);
-  if (idle_ms < 0) fail("invalid --idle-timeout-ms (>= 0)", kForwardUsage);
-  config.idle_timeout_ms = static_cast<int>(idle_ms);
-  const std::int64_t max_line = cli.get_int("max-line", 0);
-  if (max_line < 0) fail("invalid --max-line (bytes, 0 = default)",
-                         kForwardUsage);
-  config.max_line = static_cast<std::size_t>(max_line);
   for (const std::string& arg : cli.positional()) {
     config.backends.push_back(parse_backend(arg));
   }
@@ -789,7 +786,7 @@ int cmd_stats(const Cli& cli) {
         memo->get_number("hits", 0) + memo->get_number("misses", 0);
     std::printf(
         "cache: %.1f%% hit rate (%llu evictions) | memo: %.1f%% hit rate "
-        "(%llu entries)\n",
+        "(%llu evictions)\n",
         100.0 * cache->get_number("hits", 0) / std::max(1.0, cache_total),
         static_cast<unsigned long long>(cache->get_number("evictions", 0)),
         100.0 * memo->get_number("hits", 0) / std::max(1.0, memo_total),
