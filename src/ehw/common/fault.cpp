@@ -29,6 +29,7 @@ constexpr const char* kSiteNames[kSiteCount] = {
     "sock_write_stall", "journal_fsync",  "checkpoint_io",
     "task_throw",       "task_delay",     "lane_seu",
     "poll_error",       "backend_hello",  "oversize_line",
+    "session_idle",
 };
 
 [[nodiscard]] bool parse_u64(std::string_view text, std::uint64_t& out) {

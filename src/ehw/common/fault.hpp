@@ -48,6 +48,7 @@ enum class Site : std::uint8_t {
   kPollError,          // a forwarder backend stats poll fails outright
   kBackendHello,       // a backend identity probe (hello/epoch) fails
   kOversizeLine,       // read_line treats the next frame as oversized
+  kSessionIdle,        // a service session answers idle_timeout, not a request
   kCount,
 };
 inline constexpr std::size_t kSiteCount = static_cast<std::size_t>(Site::kCount);

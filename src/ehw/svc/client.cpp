@@ -76,9 +76,14 @@ Json Client::roundtrip(const Json& request) {
   while (channel_.read_line(line)) {
     Json frame = parse_frame(line);
     if (frame.get("event") != nullptr) continue;  // stray event frame
+    note_reply(frame);
     return frame;
   }
   connection_lost();
+}
+
+void Client::note_reply(const Json& reply) {
+  if (reply.get_string("code", "") == "idle_timeout") idled_out_ = true;
 }
 
 Json Client::request(const Json& request) { return roundtrip(request); }
@@ -235,6 +240,7 @@ std::string Client::watch_request(
       }
       continue;
     }
+    note_reply(frame);
     if (!frame.get_bool("ok", false)) {
       throw std::runtime_error("watch rejected: " +
                                frame.get_string("error", "unknown error"));
@@ -244,6 +250,66 @@ std::string Client::watch_request(
     if (finished) return final_status;
   }
   connection_lost();
+}
+
+ClientPool::Lease ClientPool::lease(std::size_t slot,
+                                    const std::string& address,
+                                    std::uint16_t port, bool reuse) {
+  Lease lease;
+  lease.slot = slot;
+  for (;;) {
+    std::unique_ptr<Client> idle;
+    {
+      std::lock_guard lock(mutex_);
+      Slot& entry = slots_[slot];
+      lease.flushes = entry.flushes;
+      if (!reuse || entry.idle.empty()) break;
+      // Most recent first: the least likely to have idled out.
+      idle = std::move(entry.idle.back());
+      entry.idle.pop_back();
+    }
+    // Checked now, not when it was handed back: a server idle timeout or
+    // a restart since then left an error frame, EOF or a reset behind.
+    if (idle->reusable()) {
+      reuses_.add();
+      lease.client = std::move(idle);
+      lease.reused = true;
+      return lease;
+    }
+  }
+  lease.client = std::make_unique<Client>(port, address, io_timeout_ms_);
+  connects_.add();
+  return lease;
+}
+
+void ClientPool::give_back(Lease lease) {
+  if (!lease.client->reusable()) return;
+  std::lock_guard lock(mutex_);
+  Slot& entry = slots_[lease.slot];
+  if (entry.retired || entry.flushes != lease.flushes ||
+      entry.idle.size() >= kMaxIdle) {
+    return;  // the lease closes its connection once the lock is released
+  }
+  entry.idle.push_back(std::move(lease.client));
+}
+
+void ClientPool::flush(std::size_t slot, bool retire) {
+  std::vector<std::unique_ptr<Client>> closing;
+  std::lock_guard lock(mutex_);
+  Slot& entry = slots_[slot];
+  ++entry.flushes;
+  entry.retired = entry.retired || retire;
+  closing.swap(entry.idle);
+}
+
+void ClientPool::flush_all() {
+  std::vector<std::unique_ptr<Client>> closing;
+  std::lock_guard lock(mutex_);
+  for (auto& [slot, entry] : slots_) {
+    ++entry.flushes;
+    for (auto& client : entry.idle) closing.push_back(std::move(client));
+    entry.idle.clear();
+  }
 }
 
 Json with_retry(std::uint16_t port, const std::string& address,

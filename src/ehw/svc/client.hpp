@@ -9,12 +9,19 @@
 // std::runtime_error; per-request rejections (queue_full, draining,
 // unknown job) come back as data so callers can react without
 // exception-driven control flow.
+//
+// ClientPool keeps idle connections for callers that make many short
+// exchanges with the same daemons (the forwarder's southbound side).
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "ehw/obs/metrics.hpp"
 #include "ehw/svc/protocol.hpp"
 #include "ehw/svc/socket.hpp"
 
@@ -45,6 +52,23 @@ class Client {
   }
   [[nodiscard]] std::uint64_t server_epoch() const noexcept {
     return server_epoch_;
+  }
+
+  /// Between exchanges: whether the connection can carry another one.
+  /// Nothing is buffered, no write failed, and the server has neither
+  /// closed it (idle timeout, restart) nor sent anything unread. Never
+  /// blocks.
+  [[nodiscard]] bool reusable() { return channel_.reusable(); }
+
+  /// The server closed this session for idleness: a reply was an
+  /// idle_timeout error, which a daemon sends only when its idle bound
+  /// expired before a request arrived, so it never read that request.
+  [[nodiscard]] bool idled_out() const noexcept { return idled_out_; }
+
+  /// Re-bounds socket reads (0 = none), e.g. lifted around a blocking
+  /// result wait on a connection that otherwise keeps its io bound.
+  void set_recv_timeout(int timeout_ms) noexcept {
+    channel_.set_recv_timeout(timeout_ms);
   }
 
   struct Submitted {
@@ -110,6 +134,8 @@ class Client {
 
  private:
   [[nodiscard]] Json roundtrip(const Json& request);
+  /// Every reply passes here: notes an idle_timeout (see idled_out()).
+  void note_reply(const Json& reply);
   [[nodiscard]] Json job_op(const char* op, std::uint64_t job);
   [[nodiscard]] Json named_op(const char* op, const std::string& name);
   [[nodiscard]] std::string watch_request(
@@ -120,6 +146,59 @@ class Client {
   std::string server_version_;
   std::string server_instance_id_;
   std::uint64_t server_epoch_ = 0;
+  bool idled_out_ = false;
+};
+
+/// Idle connections kept per slot (the forwarder keys slots by backend
+/// index), so a caller making many short exchanges with the same daemons
+/// connects and handshakes once per connection, not once per exchange.
+/// A lease carries one exchange. Thread-safe; the pool's mutex is never
+/// held across a connect or an exchange.
+class ClientPool {
+ public:
+  /// Idle connections kept per slot; further returns are closed.
+  static constexpr std::size_t kMaxIdle = 4;
+
+  /// One connection, the holder's alone until give_back(). Dropping a
+  /// lease (an exchange that threw) closes its connection.
+  struct Lease {
+    std::unique_ptr<Client> client;
+    std::size_t slot = 0;
+    std::uint64_t flushes = 0;  // the slot's flush count when leased
+    bool reused = false;        // an idle connection, not a new one
+  };
+
+  /// New connections get `io_timeout_ms` as in the Client constructor;
+  /// every lease counts as a connect or a reuse.
+  ClientPool(int io_timeout_ms, obs::Counter& connects, obs::Counter& reuses)
+      : io_timeout_ms_(io_timeout_ms), connects_(connects), reuses_(reuses) {}
+
+  /// An idle connection of `slot` that is still reusable (dead ones are
+  /// closed on the way), else a new one to `address:port`, which throws
+  /// like the Client constructor. `reuse = false` always connects anew.
+  [[nodiscard]] Lease lease(std::size_t slot, const std::string& address,
+                            std::uint16_t port, bool reuse = true);
+  /// Hands a connection back after a completed exchange. It is closed
+  /// instead when it is not reusable, the slot was flushed since the
+  /// lease or is retired, or the slot already holds kMaxIdle.
+  void give_back(Lease lease);
+  /// Closes the slot's idle connections; those leased before the flush
+  /// are closed when handed back. `retire` refuses every later return.
+  void flush(std::size_t slot, bool retire = false);
+  void flush_all();
+
+ private:
+  struct Slot {
+    std::vector<std::unique_ptr<Client>> idle;
+    std::uint64_t flushes = 0;
+    bool retired = false;
+  };
+
+  const int io_timeout_ms_;
+  obs::Counter& connects_;
+  obs::Counter& reuses_;
+  std::mutex mutex_;
+  std::map<std::size_t, Slot> slots_;
 };
 
 /// Reconnect policy for the retrying helpers below.

@@ -29,6 +29,40 @@ constexpr const char* kPoolFields[] = {
 
 }  // namespace
 
+template <typename Exchange>
+auto Forwarder::southbound(std::size_t backend, Exchange&& exchange,
+                           const std::vector<std::string>& fence) {
+  const BackendConfig endpoint = backend_config(backend);
+  for (bool reuse = true;; reuse = false) {
+    ClientPool::Lease lease =
+        pool_.lease(backend, endpoint.address, endpoint.port, reuse);
+    // The daemon idled the reused session out before the request arrived
+    // and never read it: once more, on a fresh connection.
+    const auto idled_out = [&] {
+      return lease.reused && lease.client->idled_out();
+    };
+    try {
+      auto answer = exchange(*lease.client);
+      if (idled_out()) continue;
+      pool_.give_back(std::move(lease));
+      return answer;
+    } catch (const std::exception&) {
+      if (idled_out()) continue;
+      if (lease.reused && !fence.empty()) {
+        // The daemon may hold the request and run it once it resumes (a
+        // stall after the write): fence it like a failover would.
+        std::lock_guard lock(state_mutex_);
+        BackendState& state = backends_[backend];
+        if (!state.removed) {
+          state.fence_names.insert(state.fence_names.end(), fence.begin(),
+                                   fence.end());
+        }
+      }
+      throw;
+    }
+  }
+}
+
 Forwarder::Forwarder(ForwarderConfig config) : config_(std::move(config)) {
   if (config_.backends.empty()) {
     throw std::runtime_error("forwarder needs at least one backend");
@@ -68,8 +102,8 @@ void Forwarder::drain() {
     }
     if (!reachable) continue;
     try {
-      Client client = quick_client(i);
-      static_cast<void>(client.drain(/*wait=*/false));
+      static_cast<void>(southbound(
+          i, [](Client& client) { return client.drain(/*wait=*/false); }));
     } catch (const std::exception&) {
       // A backend that just died is already not accepting anything.
     }
@@ -89,6 +123,8 @@ void Forwarder::stop() {
   // Wake result/watch waiters so they see stopping_ and return.
   state_cv_.notify_all();
   frontend_->join();
+  // Last: no session is left to lease or hand back a connection.
+  pool_.flush_all();
   stopped_ = true;
 }
 
@@ -101,6 +137,8 @@ ForwarderStats Forwarder::forwarder_stats() const {
   stats.fences = m_fences_.value();
   stats.rejoins = m_rejoins_.value();
   stats.shed = m_shed_.value();
+  stats.southbound_connects = m_southbound_connects_.value();
+  stats.southbound_reuses = m_southbound_reuses_.value();
   std::lock_guard lock(state_mutex_);
   stats.routes = routes_.size();
   for (const BackendState& backend : backends_) {
@@ -143,11 +181,6 @@ void Forwarder::refresh_gauges() {
 std::string Forwarder::metrics_text() {
   refresh_gauges();
   return metrics_.to_prometheus();
-}
-
-Client Forwarder::quick_client(std::size_t backend) const {
-  const BackendConfig config = backend_config(backend);
-  return Client(config.port, config.address, config_.io_timeout_ms);
 }
 
 BackendConfig Forwarder::backend_config(std::size_t backend) const {
@@ -214,6 +247,7 @@ void Forwarder::poll_backend(std::size_t index) {
   std::vector<std::string> fence;
   bool revive = false;
   bool cold = false;
+  bool taken_down = false;
   std::uint64_t old_epoch = 0;
   {
     std::lock_guard lock(state_mutex_);
@@ -229,6 +263,7 @@ void Forwarder::poll_backend(std::size_t index) {
             backoff_delay_ns(index, backend.backoff_round);
       } else if (backend.failures >= config_.down_after) {
         orphans = take_down_locked(index);
+        taken_down = true;
       }
     } else if (backend.down) {
       // Revival edge: do NOT trust the backend yet. The fence cancels
@@ -242,6 +277,7 @@ void Forwarder::poll_backend(std::size_t index) {
     }
   }
   if (!ok) {
+    if (taken_down) pool_.flush(index);
     for (const std::shared_ptr<Route>& route : orphans) {
       failover_route(route, index);
     }
@@ -352,6 +388,7 @@ void Forwarder::mark_backend_down(std::size_t index) {
     backend.failures = std::max(backend.failures, config_.down_after);
     if (!backend.down) orphans = take_down_locked(index);
   }
+  pool_.flush(index);
   for (const std::shared_ptr<Route>& route : orphans) {
     failover_route(route, index);
   }
@@ -477,12 +514,14 @@ void Forwarder::failover_route(const std::shared_ptr<Route>& route,
     return;
   }
   try {
-    Client client = quick_client(decision.target);
     Json request = Json::object();
     request.set("op", "submit");
     request.set("spec", spec_to_json(route->spec));
     if (have_resume) request.set("resume", resume);
-    const Json response = client.request(request);
+    const Json response = southbound(
+        decision.target,
+        [&](Client& client) { return client.request(request); },
+        {route->spec.name});
     if (!response.get_bool("ok", false)) {
       finish_route_failed(
           route, "failover submit rejected: " +
@@ -495,6 +534,9 @@ void Forwarder::failover_route(const std::shared_ptr<Route>& route,
       route->backend_job =
           static_cast<std::uint64_t>(response.get_number("job", 0));
       route->placed_epoch = backends_[decision.target].epoch;
+      // The new incarnation holds the winner's optimistic bump until it
+      // is seen terminal, and is live until then.
+      route->capacity_released = false;
       ++route->generation;
       ++route->failovers;
     }
@@ -590,8 +632,9 @@ Json Forwarder::handle_submit(const Json& request) {
   // Southbound submit OUTSIDE the lock (network IO).
   Client::Submitted submitted;
   try {
-    Client client = quick_client(decision.target);
-    submitted = client.submit(spec);
+    submitted = southbound(
+        decision.target, [&](Client& client) { return client.submit(spec); },
+        {spec.name});
   } catch (const std::exception& e) {
     m_rejected_.add();
     return make_error("backend " + std::to_string(decision.target) +
@@ -613,6 +656,7 @@ Json Forwarder::handle_submit(const Json& request) {
     route->id = next_id_++;
     route->placed_epoch = backends_[decision.target].epoch;
     routes_.emplace(route->id, route);
+    prune_finished_locked();
     response.set("job", route->id);
   }
   m_submitted_.add();
@@ -686,12 +730,18 @@ Json Forwarder::handle_submit_batch(const Json& request) {
   std::string code;
   for (const auto& [backend, indices] : groups) {
     std::vector<sched::MissionSpec> group_specs;
+    std::vector<std::string> group_names;
     group_specs.reserve(indices.size());
-    for (const std::size_t i : indices) group_specs.push_back(specs[i]);
+    for (const std::size_t i : indices) {
+      group_specs.push_back(specs[i]);
+      group_names.push_back(specs[i].name);
+    }
     Client::BatchSubmitted batch;
     try {
-      Client client = quick_client(backend);
-      batch = client.submit_batch(group_specs);
+      batch = southbound(
+          backend,
+          [&](Client& client) { return client.submit_batch(group_specs); },
+          group_names);
     } catch (const std::exception& e) {
       batch.ok = false;
       batch.error =
@@ -712,8 +762,9 @@ Json Forwarder::handle_submit_batch(const Json& request) {
     for (const std::optional<Accepted>& entry : accepted) {
       if (!entry.has_value()) continue;
       try {
-        Client client = quick_client(entry->backend);
-        static_cast<void>(client.cancel(entry->backend_job));
+        static_cast<void>(southbound(entry->backend, [&](Client& client) {
+          return client.cancel(entry->backend_job);
+        }));
       } catch (const std::exception&) {
         // The cancel is advisory; the mission just runs to completion.
       }
@@ -739,6 +790,7 @@ Json Forwarder::handle_submit_batch(const Json& request) {
       entry.set("backend", static_cast<std::uint64_t>(accepted[i]->backend));
       jobs.push_back(std::move(entry));
     }
+    prune_finished_locked();
   }
   Json response = make_ok();
   response.set("jobs", std::move(jobs));
@@ -749,6 +801,15 @@ std::shared_ptr<Forwarder::Route> Forwarder::find_route(
     const Json& request, std::string& error) const {
   std::lock_guard lock(state_mutex_);
   return find_record(routes_, request, error);
+}
+
+void Forwarder::prune_finished_locked() {
+  // Finished = the front holds the terminal answer, or saw the route
+  // terminal on its current incarnation. Fence names live per backend,
+  // so an evicted route never weakens a split-brain fence.
+  prune_finished(routes_, kMaxRoutes, [](const Route& route) {
+    return route.finished || route.capacity_released;
+  });
 }
 
 Json Forwarder::handle_status(const Json& request) {
@@ -771,8 +832,8 @@ Json Forwarder::handle_status(const Json& request) {
     backend_job = route->backend_job;
   }
   try {
-    Client client = quick_client(backend);
-    Json response = client.status(backend_job);
+    Json response = southbound(
+        backend, [&](Client& client) { return client.status(backend_job); });
     const std::string status = response.get_string("status", "");
     if (status != "queued" && status != "running" && status != "preempted" &&
         response.get_bool("ok", false)) {
@@ -807,12 +868,15 @@ Json Forwarder::handle_result(const Json& request) {
     bool got = false;
     Json response;
     try {
-      // Unbounded IO: this wait follows the mission. A dying backend
+      // Unbounded read: this wait follows the mission. A dying backend
       // resets the connection; an in-process failover moves the route's
       // generation and this incarnation's answer is discarded below.
-      const BackendConfig target = backend_config(backend);
-      Client client(target.port, target.address, /*io_timeout_ms=*/0);
-      response = client.result(backend_job);
+      response = southbound(backend, [&](Client& client) {
+        client.set_recv_timeout(0);
+        Json answer = client.result(backend_job);
+        client.set_recv_timeout(config_.io_timeout_ms);
+        return answer;
+      });
       got = true;
     } catch (const std::exception&) {
       got = false;
@@ -821,10 +885,13 @@ Json Forwarder::handle_result(const Json& request) {
     if (route->finished) return route->final_result;
     if (route->generation != generation) continue;  // re-resolve and rewait
     if (got) {
-      release_route_locked(*route);  // terminal southbound: lanes are free
       response.set("job", route->id);
       response.set("name", route->spec.name);
       response.set("backend", static_cast<std::uint64_t>(backend));
+      // A refusal (unknown_job, a session error) answers this call but is
+      // no terminal result: the route stays as it is.
+      if (!response.get_bool("ok", false)) return response;
+      release_route_locked(*route);  // terminal southbound: lanes are free
       // First terminal answer WINS the route: concurrent waiters and any
       // zombie incarnation that later wakes up all serve this exact
       // payload, so exactly one execution's result is ever observable.
@@ -866,11 +933,11 @@ Json Forwarder::handle_cancel(const Json& request) {
     backend_job = route->backend_job;
   }
   try {
-    Client client = quick_client(backend);
     Json cancel = Json::object();
     cancel.set("op", "cancel");
     cancel.set("job", backend_job);
-    Json response = client.request(cancel);
+    Json response = southbound(
+        backend, [&](Client& client) { return client.request(cancel); });
     response.set("job", route->id);
     return response;
   } catch (const std::exception& e) {
@@ -907,27 +974,15 @@ Json Forwarder::handle_list() {
       rows.push_back(std::move(row));
     }
   }
-  // One southbound connection per backend per list call, reused across
-  // that backend's rows.
-  std::map<std::size_t, std::unique_ptr<Client>> clients;
   for (Row& row : rows) {
     if (row.finished) continue;
     try {
-      auto it = clients.find(row.backend);
-      if (it == clients.end()) {
-        const BackendConfig endpoint = backend_config(row.backend);
-        it = clients
-                 .emplace(row.backend,
-                          std::make_unique<Client>(endpoint.port,
-                                                   endpoint.address,
-                                                   config_.io_timeout_ms))
-                 .first;
-      }
-      const Json status = it->second->status(row.backend_job);
+      const Json status = southbound(row.backend, [&](Client& client) {
+        return client.status(row.backend_job);
+      });
       row.status = status.get_string("status", "unknown");
       row.waves = static_cast<std::uint64_t>(status.get_number("waves", 0));
     } catch (const std::exception&) {
-      clients.erase(row.backend);
       row.status = "unreachable";
     }
   }
@@ -1020,6 +1075,8 @@ Json Forwarder::handle_stats() {
   fwd.set("fences", stats.fences);
   fwd.set("rejoins", stats.rejoins);
   fwd.set("shed", stats.shed);
+  fwd.set("southbound_connects", stats.southbound_connects);
+  fwd.set("southbound_reuses", stats.southbound_reuses);
   fwd.set("routes", static_cast<std::uint64_t>(stats.routes));
   fwd.set("backends_up", static_cast<std::uint64_t>(backends_up));
   fwd.set("draining", stats.draining);
@@ -1104,10 +1161,11 @@ Json Forwarder::handle_health() {
     }
     if (reachable) {
       try {
-        Client client = quick_client(probe.index);
         Json request = Json::object();
         request.set("op", "health");
-        const Json health = client.request(request);
+        const Json health = southbound(probe.index, [&](Client& client) {
+          return client.request(request);
+        });
         entry.set("reachable", true);
         entry.set("healthy", health.get_number("healthy", 0));
         entry.set("quarantined", health.get_number("quarantined", 0));
@@ -1232,6 +1290,9 @@ Json Forwarder::handle_backend(const Json& request) {
       // A tombstone never revives, so there is nothing to fence later.
       backends_[index].fence_names.clear();
     }
+    // Retired: a connection still leased to the slot (a result wait that
+    // outlives the evacuation) is closed when handed back.
+    pool_.flush(index, /*retire=*/true);
     // Evacuate: the removed member's unfinished routes fail over to the
     // survivors exactly like a death would move them.
     for (const std::shared_ptr<Route>& route : orphans) {
@@ -1299,20 +1360,24 @@ std::optional<Json> Forwarder::handle_watch(
     std::string final_status;
     bool got = false;
     try {
-      // Unbounded IO, same as result: the stream follows the mission.
-      const BackendConfig target = backend_config(backend);
-      Client client(target.port, target.address, /*io_timeout_ms=*/0);
-      final_status = client.watch(
-          backend_job,
-          [&](std::uint64_t waves) {
-            send_ack();  // subscribed southbound -> northbound is live
-            Json frame = Json::object();
-            frame.set("event", "progress");
-            frame.set("job", front_id);
-            frame.set("waves", waves);
-            static_cast<void>(channel->write_line(frame.dump()));
-          },
-          every, [&] { send_ack(); });
+      // Unbounded read, same as result: the stream follows the mission.
+      // The connection goes back only after the stream's terminal frame.
+      final_status = southbound(backend, [&](Client& client) {
+        client.set_recv_timeout(0);
+        std::string status = client.watch(
+            backend_job,
+            [&](std::uint64_t waves) {
+              send_ack();  // subscribed southbound -> northbound is live
+              Json frame = Json::object();
+              frame.set("event", "progress");
+              frame.set("job", front_id);
+              frame.set("waves", waves);
+              static_cast<void>(channel->write_line(frame.dump()));
+            },
+            every, [&] { send_ack(); });
+        client.set_recv_timeout(config_.io_timeout_ms);
+        return status;
+      });
       got = true;
     } catch (const std::exception&) {
       got = false;
@@ -1366,9 +1431,10 @@ void Forwarder::wait_routes_idle() {
     bool any_running = false;
     for (const auto& [backend, backend_job] : live) {
       try {
-        Client client = quick_client(backend);
         const std::string status =
-            client.status(backend_job).get_string("status", "");
+            southbound(backend, [&](Client& client) {
+              return client.status(backend_job);
+            }).get_string("status", "");
         if (status == "queued" || status == "running" ||
             status == "preempted") {
           any_running = true;

@@ -28,11 +28,22 @@
 // moves, exactly like Server re-attaches watchers across an in-process
 // migration.
 //
+// Southbound connections are pooled: every request/response exchange
+// with a backend (submit, submit_batch, status, cancel, health, drain,
+// list rows, failover resubmits, result and watch waits) leases an idle
+// ClientPool connection and hands it back once the exchange completed,
+// so a busy front connects and handshakes once per connection instead
+// of once per op. Polls and fence cancels keep a fresh connection each:
+// the greeting is the identity probe. A backend's idle connections are
+// flushed when it is taken down and when it is removed; stop() closes
+// them all.
+//
 // The forwarder keeps no journal of its own: durability lives in the
-// backends. Its route table (front job id -> backend job) is in-memory;
-// clients that must survive a forwarder restart key their waits by
-// mission NAME (watch_mission / submit_idempotent), which any backend
-// resolves from its journal.
+// backends. Its route table (front job id -> backend job) is in-memory
+// and bounded like a daemon's job registry (kMaxRoutes, oldest finished
+// routes evicted first); clients that must survive a forwarder restart
+// key their waits by mission NAME (watch_mission / submit_idempotent),
+// which any backend resolves from its journal.
 
 #include <atomic>
 #include <condition_variable>
@@ -69,9 +80,9 @@ struct ForwarderConfig : FrontendConfig {
   int poll_ms = 250;
   /// Consecutive failed polls before a backend is declared down.
   int down_after = 2;
-  /// Socket IO bound for quick southbound ops (submit/status/stats/...).
-  /// Blocking ops (result/watch) always run unbounded and rely on the
-  /// peer's death resetting the connection.
+  /// Socket IO bound for southbound connections (submit/status/stats/...).
+  /// Blocking waits (result/watch) lift the read bound for the wait and
+  /// rely on the peer's death resetting the connection.
   int io_timeout_ms = 5000;
 };
 
@@ -92,6 +103,10 @@ struct ForwarderStats {
   /// Brownout rejections: low-priority submits shed while every backend
   /// was saturated or cold.
   std::uint64_t shed = 0;
+  /// Southbound leases that opened a new connection vs reused an idle
+  /// one (polls and fence cancels are not leases).
+  std::uint64_t southbound_connects = 0;
+  std::uint64_t southbound_reuses = 0;
   std::size_t routes = 0;
   std::size_t backends_up = 0;
   bool draining = false;
@@ -99,6 +114,12 @@ struct ForwarderStats {
 
 class Forwarder {
  public:
+  /// Route-table retention: beyond this many routes the oldest FINISHED
+  /// ones are evicted and their ids and names answer unknown_job, like a
+  /// daemon's jobs beyond its max_job_records (same default). Live
+  /// routes are never evicted.
+  static constexpr std::size_t kMaxRoutes = 4096;
+
   /// Polls every backend once (so the first submit has placement data),
   /// then binds and serves. Throws std::runtime_error when the endpoint
   /// cannot be bound or no backends are configured.
@@ -173,8 +194,9 @@ class Forwarder {
     bool finished = false;
     std::string final_status;
     Json final_result;
-    /// The optimistic capacity bump for this route was handed back (the
-    /// route was seen terminal southbound). Guarded by state_mutex_.
+    /// The optimistic capacity bump for this route was handed back: the
+    /// route was seen terminal on its current incarnation (a failover
+    /// clears it), so it may be pruned. Guarded by state_mutex_.
     bool capacity_released = false;
   };
   struct BackendState {
@@ -197,8 +219,9 @@ class Forwarder {
     /// so route indices stay stable.
     bool removed = false;
     /// Mission names that failed over OFF this backend while it was
-    /// down; cancelled by name on revival (split-brain fence) before
-    /// the backend is trusted again.
+    /// down, or whose submit broke on a reused connection and may have
+    /// reached it; cancelled by name on revival (split-brain fence)
+    /// before the backend is trusted again.
     std::vector<std::string> fence_names;
     std::uint64_t fences = 0;   // fence cancels issued against it
     std::uint64_t rejoins = 0;  // down->up revival edges
@@ -240,9 +263,22 @@ class Forwarder {
   void wait_routes_idle();
   [[nodiscard]] std::shared_ptr<Route> find_route(const Json& request,
                                                   std::string& error) const;
+  /// Caller holds state_mutex_. Evicts the oldest finished routes beyond
+  /// kMaxRoutes; live routes stay whatever their age.
+  void prune_finished_locked();
 
-  /// Quick southbound connection (io_timeout-bounded).
-  [[nodiscard]] Client quick_client(std::size_t backend) const;
+  /// The one way to reach a backend for a request/response exchange:
+  /// runs `exchange(Client&)` on a connection leased from the backend's
+  /// pool and hands it back once `exchange` returned. A throw closes the
+  /// connection and propagates. The request is never re-sent, with one
+  /// exception: a reused connection answered idle_timeout, which a
+  /// daemon sends only when it read no request, so the exchange runs
+  /// once more on a fresh connection. A submit passes its mission names
+  /// as `fence`: when it throws on a reused connection the request may
+  /// already sit on the daemon, so the names join the backend's fence.
+  template <typename Exchange>
+  auto southbound(std::size_t backend, Exchange&& exchange,
+                  const std::vector<std::string>& fence = {});
   /// Locked copy of one backend's endpoint config — membership can grow
   /// concurrently, so nothing may hold a reference across a network op.
   [[nodiscard]] BackendConfig backend_config(std::size_t backend) const;
@@ -302,6 +338,15 @@ class Forwarder {
   obs::Counter& m_fences_ = metrics_.counter("mpa_fence_cancels_total");
   obs::Counter& m_rejoins_ = metrics_.counter("mpa_backend_rejoins_total");
   obs::Counter& m_shed_ = metrics_.counter("mpa_submits_shed_total");
+  obs::Counter& m_southbound_connects_ =
+      metrics_.counter("mpa_southbound_connects_total");
+  obs::Counter& m_southbound_reuses_ =
+      metrics_.counter("mpa_southbound_reuses_total");
+  /// Idle southbound connections per backend index. Its own mutex: no
+  /// network IO ever runs under state_mutex_. Declared before every
+  /// thread that leases from it.
+  ClientPool pool_{config_.io_timeout_ms, m_southbound_connects_,
+                   m_southbound_reuses_};
 
   mutable std::mutex state_mutex_;
   std::condition_variable state_cv_;

@@ -1,5 +1,6 @@
 #include "ehw/svc/frontend.hpp"
 
+#include "ehw/common/fault.hpp"
 #include "ehw/common/version.hpp"
 #include "ehw/obs/trace.hpp"
 #include "ehw/svc/protocol.hpp"
@@ -145,7 +146,12 @@ void Frontend::session_loop(Session* session) {
         static_cast<void>(channel.write_line(response.dump()));
         break;
       }
-      if (read == LineChannel::ReadStatus::kTimeout) {
+      // The injected variant (session_idle) drops the request it read:
+      // the peer sees what a bound that expired just before its request
+      // arrived leaves behind, this reply and then a close.
+      if (read == LineChannel::ReadStatus::kTimeout ||
+          (read == LineChannel::ReadStatus::kLine &&
+           fault::should_fire(fault::Site::kSessionIdle))) {
         const Json response = make_error(
             "idle timeout: no request within " +
                 std::to_string(config_.idle_timeout_ms) + " ms",

@@ -44,6 +44,7 @@
 // "queue_full" when the batch doesn't fit the inflight cap).
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -123,6 +124,20 @@ template <typename Record>
   }
   error = "'job' must be an id number or a name string";
   return nullptr;
+}
+
+/// Evicts the oldest records of an id-keyed registry until at most
+/// `bound` remain (0 = keep everything), skipping those `finished`
+/// rejects: live records stay whatever their age. The caller holds the
+/// registry's lock.
+template <typename Record, typename Finished>
+void prune_finished(std::map<std::uint64_t, std::shared_ptr<Record>>& records,
+                    std::size_t bound, const Finished& finished) {
+  if (bound == 0) return;
+  auto it = records.begin();
+  while (records.size() > bound && it != records.end()) {
+    it = finished(*it->second) ? records.erase(it) : std::next(it);
+  }
 }
 
 }  // namespace ehw::svc

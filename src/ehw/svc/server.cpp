@@ -690,23 +690,16 @@ Json Server::handle_submit_batch(const Json& request) {
 }
 
 void Server::prune_finished_locked() {
-  if (config_.max_job_records == 0) return;
-  auto it = jobs_.begin();
-  while (jobs_.size() > config_.max_job_records && it != jobs_.end()) {
+  prune_finished(jobs_, config_.max_job_records, [](const JobRecord& record) {
     // Replayed-finished records (no runner) are finished by definition.
-    if (it->second->runner != nullptr) {
-      const sched::JobStatus status = it->second->runner->status();
-      if (status == sched::JobStatus::kQueued ||
-          status == sched::JobStatus::kRunning ||
-          status == sched::JobStatus::kPreempted) {
-        // Never evict live jobs, whatever their age. kPreempted is live
-        // too: the mission is mid-migration onto a new slice.
-        ++it;
-        continue;
-      }
-    }
-    it = jobs_.erase(it);
-  }
+    if (record.runner == nullptr) return true;
+    // kPreempted is live too: the mission is mid-migration onto a new
+    // slice.
+    const sched::JobStatus status = record.runner->status();
+    return status != sched::JobStatus::kQueued &&
+           status != sched::JobStatus::kRunning &&
+           status != sched::JobStatus::kPreempted;
+  });
 }
 
 std::shared_ptr<Server::JobRecord> Server::find_job(

@@ -89,6 +89,14 @@ void Socket::set_recv_timeout(int timeout_ms) noexcept {
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 }
 
+bool Socket::quiet() const noexcept {
+  if (fd_ < 0) return false;
+  pollfd pfd{fd_, POLLIN, 0};
+  int ready = ::poll(&pfd, 1, 0);
+  while (ready < 0 && errno == EINTR) ready = ::poll(&pfd, 1, 0);
+  return ready == 0;
+}
+
 void Socket::shutdown_both() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
@@ -235,6 +243,15 @@ bool LineChannel::write_line(const std::string& line) {
     return false;
   }
   return true;
+}
+
+bool LineChannel::reusable() {
+  if (!buffer_.empty()) return false;
+  {
+    std::lock_guard lock(write_mutex_);
+    if (write_failed_) return false;
+  }
+  return socket_.quiet();
 }
 
 }  // namespace ehw::svc

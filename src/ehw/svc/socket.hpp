@@ -50,6 +50,11 @@ class Socket {
   /// forever. 0 disables the bound.
   void set_recv_timeout(int timeout_ms) noexcept;
 
+  /// True when a zero-timeout poll finds nothing to read, no hang-up and
+  /// no error: the peer has neither sent anything nor closed. Never
+  /// blocks.
+  [[nodiscard]] bool quiet() const noexcept;
+
   /// Shuts down both directions, unblocking any reader on this fd.
   void shutdown_both() noexcept;
   void close() noexcept;
@@ -136,6 +141,12 @@ class LineChannel {
   /// Writes `line` + '\n' atomically w.r.t. other writers. False once
   /// the peer is gone (subsequent writes keep returning false).
   [[nodiscard]] bool write_line(const std::string& line);
+
+  /// Whether the channel can carry another exchange: nothing buffered,
+  /// no failed write, and nothing (data, EOF or error) waiting on the
+  /// socket. Reader-side and non-blocking; a pooled connection is only
+  /// reused while this holds.
+  [[nodiscard]] bool reusable();
 
   /// Unblocks the reader and poisons future writes.
   void shutdown() noexcept { socket_.shutdown_both(); }

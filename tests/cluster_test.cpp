@@ -3,19 +3,22 @@
 // placement-routed submits (results bit-identical to standalone runs no
 // matter which backend hosts them), batch fan-out, name-keyed ops,
 // watch streaming through the front, cluster stats/health views, drain
-// fan-out, multi-pool sharded servers behind the front, and the shared
-// session layer (handshake, frame armor, the trace op) on the front.
+// fan-out, multi-pool sharded servers behind the front, the shared
+// session layer (handshake, frame armor, the trace op) on the front, the
+// pooled southbound connections and the bounded route table.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ehw/common/fault.hpp"
 #include "ehw/common/persist.hpp"
 #include "ehw/obs/trace.hpp"
 #include "ehw/sched/missions.hpp"
@@ -641,6 +644,351 @@ TEST(Cluster, BackendAddAndRemoveReshapeMembershipLive) {
   ASSERT_TRUE(last.ok) << last.error;
   expect_matches_standalone(client.result(last.job), after);
   extra.stop();
+}
+
+// --- pooled southbound connections -----------------------------------------
+
+/// The `stats` service section's accepted-connection count of a daemon.
+double accepted_connections(Client& direct) {
+  return direct.stats().get("service")->get_number("connections", 0);
+}
+
+/// Polls the front has made, summed over its backends (each poll connects
+/// afresh, outside the pool).
+double front_polls(Client& front) {
+  double polls = 0;
+  const Json stats = front.stats();
+  for (const Json& row :
+       stats.get("cluster")->get("backends")->as_array()) {
+    polls += row.get_number("polls", 0);
+  }
+  return polls;
+}
+
+/// One health round trip through the front (a lease per backend).
+Json health_op(Client& client) {
+  Json request = Json::object();
+  request.set("op", "health");
+  return client.request(request);
+}
+
+TEST(Cluster, SequentialOpsReusePooledSouthboundConnections) {
+  Cluster cluster;
+  Client client = cluster.client();
+  Client direct0(cluster.servers[0]->port());
+  Client direct1(cluster.servers[1]->port());
+  const auto connections = [&] {
+    return accepted_connections(direct0) + accepted_connections(direct1);
+  };
+  const double polls_before = front_polls(client);
+  const double connections_before = connections();
+  constexpr int kCycles = 40;
+  for (int i = 0; i < kCycles; ++i) {
+    const sched::MissionSpec spec =
+        quick_spec("cycle" + std::to_string(i), 3, 6);
+    const Client::Submitted submitted = client.submit(spec);
+    ASSERT_TRUE(submitted.ok) << submitted.error;
+    ASSERT_TRUE(client.status(submitted.job).get_bool("ok", false));
+    ASSERT_EQ(client.result(submitted.job).get_string("status", ""), "done");
+  }
+  const double opened = connections() - connections_before;
+  const double polled = front_polls(client) - polls_before;
+  // A front that connects per op opens 3 * kCycles = 120 here.
+  EXPECT_LE(opened,
+            static_cast<double>(2 * ClientPool::kMaxIdle) + polled)
+      << "polls in the window: " << polled;
+  const ForwarderStats stats = cluster.forwarder->forwarder_stats();
+  EXPECT_GE(stats.southbound_reuses, 10 * stats.southbound_connects);
+  const Json forwarder = *client.stats().get("forwarder");
+  EXPECT_EQ(forwarder.get_number("southbound_reuses", -1),
+            static_cast<double>(stats.southbound_reuses));
+  EXPECT_EQ(forwarder.get_number("southbound_connects", -1),
+            static_cast<double>(stats.southbound_connects));
+}
+
+TEST(Cluster, RestartedBackendNeverRidesTheDeadIncarnationsConnection) {
+  const std::string dir = testing::TempDir() + "ehw_cluster_pool_restart";
+  static_cast<void>(remove_file(dir + "/instance.json"));
+  static_cast<void>(remove_file(dir + "/journal.jsonl"));
+  static_cast<void>(remove_file(dir + "/warm.json"));
+  ServerConfig config = backend_config(2);
+  config.journal_dir = dir;
+  auto backend = std::make_unique<Server>(config);
+  ForwarderConfig fc;
+  BackendConfig endpoint;
+  endpoint.port = backend->port();
+  fc.backends = {endpoint};
+  // No poll after the boot one: only the lease's liveness check can
+  // notice the restart.
+  fc.poll_ms = 600'000;
+  Forwarder forwarder(std::move(fc));
+  Client client(forwarder.port());
+
+  const sched::MissionSpec before = quick_spec("before-restart", 3);
+  const Client::Submitted first = client.submit(before);
+  ASSERT_TRUE(first.ok) << first.error;
+  expect_matches_standalone(client.result(first.job), before);
+  const ForwarderStats pooled = forwarder.forwarder_stats();
+  ASSERT_GE(pooled.southbound_reuses, 1u);  // the result rode the submit's
+
+  const std::uint16_t port = backend->port();
+  backend->stop();
+  backend.reset();
+  config.port = port;
+  backend = std::make_unique<Server>(config);
+  ASSERT_EQ(backend->epoch(), 2u);
+
+  // The idle connection to epoch 1 is dead; writing the submit on it
+  // would lose the mission. The lease must discard it and connect anew.
+  const sched::MissionSpec after = quick_spec("after-restart", 5);
+  const Client::Submitted second = client.submit(after);
+  ASSERT_TRUE(second.ok) << second.error;
+  expect_matches_standalone(client.result(second.job), after);
+  const ForwarderStats now = forwarder.forwarder_stats();
+  EXPECT_EQ(now.southbound_connects, pooled.southbound_connects + 1);
+  EXPECT_EQ(backend->service_stats().submitted, 1u);
+
+  forwarder.stop();
+  backend->stop();
+}
+
+TEST(Cluster, IdledOutPooledSessionIsDiscardedAndTheOpSucceeds) {
+  ServerConfig config = backend_config(2);
+  config.idle_timeout_ms = 100;
+  Server backend(config);
+  ForwarderConfig fc;
+  BackendConfig endpoint;
+  endpoint.port = backend.port();
+  fc.backends = {endpoint};
+  fc.poll_ms = 600'000;  // no poll sessions: every backend session is pooled
+  Forwarder forwarder(std::move(fc));
+  Client client(forwarder.port());
+
+  ASSERT_EQ(health_op(client).get_number("unreachable", 1), 0.0);
+  const ForwarderStats pooled = forwarder.forwarder_stats();
+  // The gap between ops outlasts the backend's idle timeout: it answers
+  // the pooled session "idle_timeout" and closes it.
+  ASSERT_TRUE(wait_until(
+      [&] { return backend.service_stats().sessions_open == 0; }))
+      << "the backend never idled the pooled session out";
+
+  ASSERT_EQ(health_op(client).get_number("unreachable", 1), 0.0);
+  const ForwarderStats now = forwarder.forwarder_stats();
+  EXPECT_EQ(now.southbound_connects, pooled.southbound_connects + 1);
+  EXPECT_EQ(now.southbound_reuses, pooled.southbound_reuses);
+  const sched::MissionSpec spec = quick_spec("after-idle", 4);
+  const Client::Submitted submitted = client.submit(spec);
+  ASSERT_TRUE(submitted.ok) << submitted.error;
+  expect_matches_standalone(client.result(submitted.job), spec);
+  forwarder.stop();
+  backend.stop();
+}
+
+TEST(Cluster, BackendRemoveLeavesNoIdleConnectionToTheSlot) {
+  Cluster cluster;  // 2 backends
+  Client client = cluster.client();
+  Server extra(backend_config(2));
+  Json add = Json::object();
+  add.set("op", "backend");
+  add.set("action", "add");
+  add.set("port", static_cast<std::uint64_t>(extra.port()));
+  const Json added = client.request(add);
+  ASSERT_TRUE(added.get_bool("ok", false)) << added.get_string("error", "");
+  const auto index = static_cast<std::uint64_t>(added.get_number("backend", 0));
+  // A health fan-out leaves a pooled connection there.
+  ASSERT_EQ(health_op(client).get_number("unreachable", 1), 0.0);
+  EXPECT_GE(extra.service_stats().sessions_open, 1u);
+
+  Json remove = Json::object();
+  remove.set("op", "backend");
+  remove.set("action", "remove");
+  remove.set("backend", index);
+  ASSERT_TRUE(client.request(remove).get_bool("ok", false));
+  ASSERT_TRUE(wait_until(
+      [&] { return extra.service_stats().sessions_open == 0; }))
+      << "the front kept a connection to the removed backend";
+
+  // Nothing reaches the tombstone any more; the survivors still serve.
+  const std::uint64_t accepted = extra.service_stats().connections;
+  ASSERT_EQ(health_op(client).get_number("unreachable", 1), 0.0);
+  const sched::MissionSpec spec = quick_spec("after-remove", 6);
+  const Client::Submitted submitted = client.submit(spec);
+  ASSERT_TRUE(submitted.ok) << submitted.error;
+  expect_matches_standalone(client.result(submitted.job), spec);
+  EXPECT_EQ(extra.service_stats().connections, accepted);
+  extra.stop();
+}
+
+TEST(Cluster, IdleTimeoutAnswerOnAReusedConnectionRunsOnceMoreOnAFreshOne) {
+  Server backend(backend_config(2));
+  ForwarderConfig fc;
+  BackendConfig endpoint;
+  endpoint.port = backend.port();
+  fc.backends = {endpoint};
+  fc.poll_ms = 600'000;  // no poll session reads a frame under the plan
+  Forwarder forwarder(std::move(fc));
+  Client client(forwarder.port());
+  ASSERT_EQ(health_op(client).get_number("unreachable", 1), 0.0);
+
+  // Requests read by any session, in causal order: 1 the front reads the
+  // submit, 2 the backend reads the forwarded copy off the pooled
+  // connection, 3-4 hello and submit on a fresh one; 5-8 the same for
+  // the result. Hits 2 and 6 fire: the backend drops the request and
+  // answers idle_timeout, as when its idle bound expires between the
+  // lease's liveness check and the request. One plan for both ops: the
+  // session threads stay alive, so the plan is never rewritten under
+  // them.
+  const fault::ScopedPlan plan("session_idle=after:1,every:4,count:2");
+  const sched::MissionSpec spec = quick_spec("raced", 8);
+  ForwarderStats before = forwarder.forwarder_stats();
+  const Client::Submitted submitted = client.submit(spec);
+  ASSERT_TRUE(submitted.ok) << submitted.code << ": " << submitted.error;
+  EXPECT_EQ(fault::fired(fault::Site::kSessionIdle), 1u);
+  ForwarderStats after = forwarder.forwarder_stats();
+  EXPECT_EQ(after.southbound_reuses, before.southbound_reuses + 1);
+  EXPECT_EQ(after.southbound_connects, before.southbound_connects + 1);
+
+  before = after;
+  const Json result = client.result(submitted.job);
+  EXPECT_EQ(fault::fired(fault::Site::kSessionIdle), 2u);
+  expect_matches_standalone(result, spec);
+  after = forwarder.forwarder_stats();
+  EXPECT_EQ(after.southbound_reuses, before.southbound_reuses + 1);
+  EXPECT_EQ(after.southbound_connects, before.southbound_connects + 1);
+  // The dropped submit never ran, and the route holds the real result.
+  EXPECT_EQ(backend.service_stats().submitted, 1u);
+  EXPECT_EQ(client.result(submitted.job).dump(), result.dump());
+  forwarder.stop();
+  backend.stop();
+}
+
+TEST(Cluster, RefusedResultIsNotRecordedAsTheRoutesAnswer) {
+  Server backend(backend_config(2));
+  ForwarderConfig fc;
+  BackendConfig endpoint;
+  endpoint.port = backend.port();
+  fc.backends = {endpoint};
+  fc.poll_ms = 600'000;  // no poll session reads a frame under the plan
+  Forwarder forwarder(std::move(fc));
+  Client client(forwarder.port());
+  const sched::MissionSpec spec = quick_spec("refused", 10);
+  const Client::Submitted submitted = client.submit(spec);
+  ASSERT_TRUE(submitted.ok) << submitted.error;
+
+  Json refused;
+  {
+    // 1 the front reads the result request, 2 the backend reads it off
+    // the pooled connection (fires), 3-4 hello and result on the fresh
+    // connection (4 fires): no retry is left, the refusal comes back.
+    const fault::ScopedPlan plan("session_idle=after:1,every:2,count:2");
+    refused = client.result(submitted.job);
+    EXPECT_EQ(fault::fired(fault::Site::kSessionIdle), 2u);
+  }
+  EXPECT_FALSE(refused.get_bool("ok", true));
+  EXPECT_EQ(refused.get_string("code", ""), "idle_timeout");
+  // The route did not finish on the refusal: the next read is served.
+  expect_matches_standalone(client.result(submitted.job), spec);
+  forwarder.stop();
+  backend.stop();
+}
+
+TEST(Cluster, SubmitLostOnAReusedConnectionIsFencedOnRevival) {
+  Server backend(backend_config(2));
+  ForwarderConfig fc;
+  BackendConfig endpoint;
+  endpoint.port = backend.port();
+  fc.backends = {endpoint};
+  fc.poll_ms = 400;
+  Forwarder forwarder(std::move(fc));
+  Client client(forwarder.port());
+  // However the test ends, the endless mission is cancelled, so the
+  // backend's stop() does not wait for it.
+  struct CancelZombie {
+    ~CancelZombie() {
+      Json cancel = Json::object();
+      cancel.set("op", "cancel");
+      cancel.set("job", "zombie");
+      try {
+        static_cast<void>(Client(port).request(cancel));
+      } catch (const std::exception&) {
+        // Already stopped: the zombie finished cancelled.
+      }
+    }
+    std::uint16_t port;
+  } cancel_zombie{backend.port()};
+  ASSERT_EQ(health_op(client).get_number("unreachable", 1), 0.0);
+
+  // Start right after a poll, so the next one (and its socket writes)
+  // comes well after the plan below is gone.
+  const double polls = front_polls(client);
+  ASSERT_TRUE(wait_until([&] { return front_polls(client) > polls; }));
+  Client::Submitted lost;
+  {
+    // Writes in causal order: 1 the client's submit, 2 the front's copy
+    // on the pooled connection, 3 the backend's ack. The ack fails and
+    // the backend closes the session, with the mission accepted.
+    const fault::ScopedPlan plan("sock_write_error=after:2,count:1");
+    lost = client.submit(quick_spec("zombie", 9, 100'000'000));
+    EXPECT_EQ(fault::fired(fault::Site::kSockWriteError), 1u);
+  }
+  EXPECT_FALSE(lost.ok);
+  EXPECT_EQ(lost.code, "no_backend");
+  EXPECT_EQ(backend.service_stats().submitted, 1u);
+
+  // The front never learnt the backend's job; on revival the fence
+  // cancels it by name.
+  forwarder.mark_backend_down(0);
+  ASSERT_TRUE(
+      wait_until([&] { return forwarder.forwarder_stats().rejoins == 1; }));
+  EXPECT_EQ(forwarder.forwarder_stats().fences, 1u);
+  Client direct(backend.port());
+  ASSERT_TRUE(wait_until([&] {
+    return direct.status_by_name("zombie").get_string("status", "") ==
+           "cancelled";
+  }));
+  forwarder.stop();
+  backend.stop();
+}
+
+// --- the route table bound --------------------------------------------------
+
+/// The two route flags the forwarder's pruning reads.
+struct RouteFlags {
+  bool finished = false;           // the front holds the terminal answer
+  bool capacity_released = false;  // seen terminal on its incarnation
+};
+
+TEST(Forwarder, RouteBoundEvictsFinishedRoutesOldestFirstNeverLiveOnes) {
+  // A daemon keeps as many finished jobs by default.
+  EXPECT_EQ(Forwarder::kMaxRoutes, ServerConfig{}.max_job_records);
+  std::map<std::uint64_t, std::shared_ptr<RouteFlags>> routes;
+  const auto add = [&](std::uint64_t id, bool finished, bool released) {
+    routes.emplace(id, std::make_shared<RouteFlags>(
+                           RouteFlags{finished, released}));
+  };
+  const auto ids = [&] {
+    std::vector<std::uint64_t> out;
+    for (const auto& [id, route] : routes) out.push_back(id);
+    return out;
+  };
+  // The forwarder's predicate: its route is finished once the front
+  // holds the answer or saw the route terminal on its incarnation.
+  const auto finished = [](const RouteFlags& route) {
+    return route.finished || route.capacity_released;
+  };
+  add(1, false, false);  // the oldest, still live
+  add(2, true, true);
+  add(3, false, true);   // terminal, result not read yet
+  add(4, true, true);
+  add(5, false, false);  // live
+  add(6, true, true);
+  prune_finished(routes, 3, finished);
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{1, 5, 6}));
+  prune_finished(routes, 3, finished);  // at the bound: nothing to do
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{1, 5, 6}));
+  // Live routes stay whatever the bound: only the finished one goes.
+  prune_finished(routes, 1, finished);
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{1, 5}));
 }
 
 // --- the shared session layer on the front ---------------------------------

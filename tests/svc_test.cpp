@@ -3,17 +3,23 @@
 // (queue_full backpressure), drain semantics, progress streaming — and
 // above all that results delivered through the socket are BIT-IDENTICAL
 // to standalone runs of the same spec (the scheduler's determinism
-// guarantee extended across the wire).
+// guarantee extended across the wire). Also the channel liveness check
+// that decides whether a pooled connection may carry another exchange.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ehw/common/fault.hpp"
 #include "ehw/common/persist.hpp"
 #include "ehw/common/version.hpp"
 #include "ehw/sched/missions.hpp"
@@ -556,6 +562,35 @@ TEST(SvcServer, RetentionEvictsOldestFinishedJobsOnly) {
   server.stop();
 }
 
+TEST(SvcServer, RetentionNeverEvictsLiveJobs) {
+  ServerConfig config;
+  config.pool.num_arrays = 2;
+  config.max_job_records = 2;
+  Server server(config);
+  Client client(server.port());
+  // The oldest record stays live while the others finish (seconds long,
+  // not endless, so a server that lost it still stops).
+  const Client::Submitted keeper = client.submit(
+      quick_spec(sched::MissionKind::kDenoise, "keeper", 1, 20000, 7));
+  ASSERT_TRUE(keeper.ok) << keeper.error;
+  for (int i = 0; i < 3; ++i) {
+    char name[8];
+    std::snprintf(name, sizeof name, "r%d", i);
+    const Client::Submitted submitted = client.submit(quick_spec(
+        sched::MissionKind::kDenoise, name, 1, 5,
+        static_cast<std::uint64_t>(40 + i)));
+    ASSERT_TRUE(submitted.ok) << submitted.error;
+    EXPECT_EQ(client.watch(submitted.job), "done");
+  }
+  EXPECT_EQ(client.status(keeper.job).get_string("status", ""), "running");
+  const Json list = client.list();
+  ASSERT_EQ(list.get("jobs")->as_array().size(), 2u);
+  EXPECT_EQ(list.get("jobs")->as_array()[1].get_string("name", ""), "r2");
+  ASSERT_TRUE(client.cancel(keeper.job));
+  EXPECT_EQ(client.watch(keeper.job), "cancelled");
+  server.stop();
+}
+
 TEST(SvcServer, ListShowsJobsAcrossConnections) {
   ServerConfig config;
   config.pool.num_arrays = 2;
@@ -769,6 +804,83 @@ TEST(SvcClient, WithRetryWaitsOutQueueFullHintAndLands) {
                 response.get_number("job", 0))),
             "done");
   server.stop();
+}
+
+// --- connection reuse: the liveness check -----------------------------------
+
+/// Both ends of one loopback TCP connection.
+struct ChannelPair {
+  ChannelPair()
+      : listener("127.0.0.1", 0),
+        near(Socket::connect_to("127.0.0.1", listener.port())) {
+    std::optional<Socket> accepted = listener.accept_one(/*timeout_ms=*/5000);
+    if (!accepted.has_value()) throw std::runtime_error("nothing accepted");
+    far = std::make_unique<LineChannel>(std::move(*accepted));
+  }
+  Listener listener;
+  LineChannel near;
+  std::unique_ptr<LineChannel> far;
+};
+
+/// Polls `pred` for up to ~2 s (loopback delivery is not instantaneous).
+bool eventually(const std::function<bool()>& pred) {
+  for (int waited = 0; waited < 2000 && !pred(); waited += 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return pred();
+}
+
+TEST(SvcChannel, IdleOpenChannelStaysReusable) {
+  ChannelPair pair;
+  EXPECT_TRUE(pair.near.reusable());
+  EXPECT_TRUE(pair.far->reusable());
+  // A completed exchange leaves both ends reusable.
+  std::string line;
+  ASSERT_TRUE(pair.near.write_line("ping"));
+  ASSERT_TRUE(pair.far->read_line(line));
+  ASSERT_TRUE(pair.far->write_line("pong"));
+  ASSERT_TRUE(pair.near.read_line(line));
+  EXPECT_EQ(line, "pong");
+  EXPECT_TRUE(pair.near.reusable());
+  EXPECT_TRUE(pair.far->reusable());
+}
+
+TEST(SvcChannel, PeerCloseEndsReuse) {
+  ChannelPair pair;
+  ASSERT_TRUE(pair.near.reusable());
+  pair.far.reset();  // the server idled the session out, or died
+  EXPECT_TRUE(eventually([&] { return !pair.near.reusable(); }));
+}
+
+TEST(SvcChannel, UnreadPendingBytesEndReuse) {
+  ChannelPair pair;
+  std::string line;
+  // Bytes waiting in the socket: a stray frame nobody asked for.
+  ASSERT_TRUE(pair.far->write_line("stray"));
+  EXPECT_TRUE(eventually([&] { return !pair.near.reusable(); }));
+  ASSERT_TRUE(pair.near.read_line(line));
+  EXPECT_TRUE(pair.near.reusable());
+  // Bytes already read off the socket but still buffered in the channel.
+  ASSERT_TRUE(pair.far->write_line("first\nsecond"));
+  ASSERT_TRUE(eventually([&] { return !pair.near.reusable(); }));
+  ASSERT_TRUE(pair.near.read_line(line));
+  EXPECT_EQ(line, "first");
+  EXPECT_FALSE(pair.near.reusable());
+  ASSERT_TRUE(pair.near.read_line(line));
+  EXPECT_EQ(line, "second");
+  EXPECT_TRUE(pair.near.reusable());
+}
+
+TEST(SvcChannel, FailedWriteEndsReuse) {
+  ChannelPair pair;
+  {
+    const fault::ScopedPlan plan("sock_write_error=count:1");
+    EXPECT_FALSE(pair.near.write_line("lost"));
+  }
+  // The socket itself is still open and quiet; the failed write alone
+  // makes the channel unfit for another exchange.
+  EXPECT_TRUE(pair.far->reusable());
+  EXPECT_FALSE(pair.near.reusable());
 }
 
 }  // namespace

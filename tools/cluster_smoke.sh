@@ -86,6 +86,39 @@ rm -f "$TRACE_F"
 grep -q '"rpc_roundtrip"' "$TRACE_F" \
   || fail "front trace has no rpc_roundtrip span: $(head -c 300 "$TRACE_F")"
 
+# ---- southbound connections are pooled, not opened per op --------------
+# Each routed `mpa submit` is three forwarded ops (submit, watch, result).
+# The backends' accepted-connection counts may grow by the front's polls,
+# which connect afresh each time, and by a few pooled connects, never by
+# one connection per forwarded op.
+backend_connections() {
+  "$MPA" stats --port "$1" | sed -n 's/^sessions: \([0-9]*\) connections accepted.*/\1/p'
+}
+front_polls() {
+  "$MPA" stats --port "$PORT_F" | sed -n 's/^southbound: .* | \([0-9]*\) backend polls$/\1/p'
+}
+POLLS_BEFORE=$(front_polls)
+CONN_A_BEFORE=$(backend_connections "$PORT_A")
+CONN_B_BEFORE=$(backend_connections "$PORT_B")
+[ -n "$POLLS_BEFORE" ] && [ -n "$CONN_A_BEFORE" ] && [ -n "$CONN_B_BEFORE" ] \
+  || fail "mpa stats shows no connection or poll counts"
+ROUTED=6
+for i in $(seq 1 "$ROUTED"); do
+  "$MPA" submit --port "$PORT_F" denoise "pooled$i" lanes=1 generations=8 size=16 --quiet >/dev/null \
+    || fail "routed submit pooled$i failed"
+done
+CONN_A_AFTER=$(backend_connections "$PORT_A")
+CONN_B_AFTER=$(backend_connections "$PORT_B")
+POLLS_AFTER=$(front_polls)
+FORWARDED_OPS=$((3 * ROUTED))
+# The two `mpa stats` probes just taken are backend connections too.
+OP_CONNECTIONS=$((CONN_A_AFTER - CONN_A_BEFORE + CONN_B_AFTER - CONN_B_BEFORE - 2 - (POLLS_AFTER - POLLS_BEFORE)))
+# Pooled, it is a handful at most; half the ops leaves room for a poll
+# miscounted at either edge of the window.
+[ "$OP_CONNECTIONS" -lt $((FORWARDED_OPS / 2)) ] \
+  || fail "backends accepted $OP_CONNECTIONS connections (polls aside) for $FORWARDED_OPS forwarded ops: the front connects per op"
+echo "cluster_smoke: $FORWARDED_OPS forwarded ops opened $OP_CONNECTIONS backend connection(s) besides polls"
+
 "$MPA" health --port "$PORT_F" --cluster | grep -q "unreachable backends 0" \
   || fail "health --cluster does not show both backends up"
 

@@ -754,6 +754,21 @@ int cmd_stats(const Cli& cli) {
           static_cast<unsigned long long>(
               backends != nullptr ? backends->as_array().size() : 0),
           fwd->get_bool("draining", false) ? " (draining)" : "");
+      // Polls connect afresh each time; every other southbound exchange
+      // leases a pooled connection (a connect or a reuse).
+      double polls = 0;
+      if (backends != nullptr && backends->is_array()) {
+        for (const Json& row : backends->as_array()) {
+          polls += row.get_number("polls", 0);
+        }
+      }
+      std::printf(
+          "southbound: %llu connects, %llu reuses | %llu backend polls\n",
+          static_cast<unsigned long long>(
+              fwd->get_number("southbound_connects", 0)),
+          static_cast<unsigned long long>(
+              fwd->get_number("southbound_reuses", 0)),
+          static_cast<unsigned long long>(polls));
     }
     return 0;
   }
@@ -777,6 +792,13 @@ int cmd_stats(const Cli& cli) {
   }
   table.print(std::cout);
   print_placement(stats.get("placement"), "pools");
+  if (const Json* service = stats.get("service"); service != nullptr) {
+    std::printf("sessions: %llu connections accepted, %llu open\n",
+                static_cast<unsigned long long>(
+                    service->get_number("connections", 0)),
+                static_cast<unsigned long long>(
+                    service->get_number("sessions_open", 0)));
+  }
   const Json* cache = stats.get("cache");
   const Json* memo = stats.get("memo");
   if (cache != nullptr && memo != nullptr) {
