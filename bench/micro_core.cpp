@@ -403,8 +403,8 @@ BENCHMARK(BM_ServiceThroughput)->Arg(1)->Arg(4)->Arg(8)
 void BM_PlacementPolicy(benchmark::State& state) {
   // Raw routing cost: one place() over 8 targets, cycling 16 mission
   // fingerprints so the affinity table serves a mix of warm hits and
-  // cold insertions — the per-submit overhead a forwarder or pool group
-  // adds on top of the scheduler.
+  // cold insertions — the per-submit overhead the forwarder adds on top
+  // of a backend daemon.
   sched::PlacementPolicy policy;
   std::vector<sched::PlacementTarget> targets(8);
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -498,7 +498,7 @@ void BM_ClusterThroughput(benchmark::State& state) {
       wall_seconds > 0.0 ? static_cast<double>(completed) / wall_seconds : 0.0;
   evo::FitnessMemoStats memo;
   for (const auto& server : servers) {
-    const evo::FitnessMemoStats s = server->group().memo_stats();
+    const evo::FitnessMemoStats s = server->pool().memo_stats();
     memo.hits += s.hits;
     memo.misses += s.misses;
     memo.evictions += s.evictions;

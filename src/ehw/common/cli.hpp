@@ -21,6 +21,12 @@ class Cli {
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
 
+  /// Every --key given, with its value ("" for a bare flag).
+  [[nodiscard]] const std::map<std::string, std::string>& flags()
+      const noexcept {
+    return kv_;
+  }
+
   /// Positional (non --key) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

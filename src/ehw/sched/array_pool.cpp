@@ -6,7 +6,6 @@
 
 #include "ehw/common/fault.hpp"
 #include "ehw/evo/batch.hpp"
-#include "ehw/evo/serialize.hpp"
 #include "ehw/obs/trace.hpp"
 #include "ehw/sched/missions.hpp"
 
@@ -162,11 +161,6 @@ platform::CompiledLane MissionContext::compile_cached(std::size_t lane) {
     ++hits_;
   } else {
     ++misses_;
-    // Record how to rebuild this entry so warm-state persistence can
-    // recompile it on a fresh pool after a restart.
-    if (configured.has_value()) {
-      cache_->note_recipe(key, lane, evo::serialize_genotype(*configured));
-    }
   }
   return {std::move(compiled), key};
 }
@@ -762,18 +756,9 @@ Json ArrayPool::export_warm_state() const {
     memo_entries.push_back(
         Json::Object{{"k", json_u64(key)}, {"f", json_u64(fitness)}});
   }
-  Json cache_entries = Json::array();
-  for (const CacheRecipe& recipe : cache_.recipes()) {
-    cache_entries.push_back(Json::Object{
-        {"key", json_u64(recipe.key)},
-        {"lane", json_u64(recipe.lane)},
-        {"genotype", Json(recipe.genotype)},
-    });
-  }
   return Json(Json::Object{
       {"format", Json(kWarmFormatTag)},
       {"memo", std::move(memo_entries)},
-      {"cache", std::move(cache_entries)},
   });
 }
 
@@ -782,76 +767,20 @@ ArrayPool::WarmLoadStats ArrayPool::import_warm_state(const Json& state) {
   if (!state.is_object() || state.get_string("format", "") != kWarmFormatTag) {
     return loaded;
   }
-
-  if (const Json* memo = state.get("memo");
-      memo != nullptr && memo->is_array()) {
-    std::vector<std::pair<std::uint64_t, Fitness>> entries;
-    entries.reserve(memo->as_array().size());
-    for (const Json& entry : memo->as_array()) {
-      std::uint64_t key = 0;
-      Fitness fitness = 0;
-      if (json_read_u64(entry.get("k"), key) &&
-          json_read_u64(entry.get("f"), fitness)) {
-        entries.emplace_back(key, fitness);
-      }
-    }
-    memo_.preload(entries);
-    loaded.memo_loaded = entries.size();
-  }
-
-  const Json* cache = state.get("cache");
-  if (cache == nullptr || !cache->is_array() || cache->as_array().empty() ||
-      config_.cache_capacity == 0) {
-    return loaded;
-  }
-  // Recompile recipes on a scratch slice with the default mission fabric
-  // seed; the re-derived key must round-trip or the recipe is dropped
-  // (jobs with custom platform seeds — or damaged fabrics — simply fall
-  // back to cold compiles, never to wrong entries).
-  platform::PlatformConfig pc;
-  pc.num_arrays = config_.num_arrays;
-  pc.shape = config_.shape;
-  pc.clock_mhz = config_.clock_mhz;
-  pc.line_width = config_.line_width;
-  pc.seed = JobConfig{}.platform_seed;
-  platform::EvolvablePlatform scratch(pc);
-  const Json::Array& entries = cache->as_array();
-  // Reverse order: warm_insert pushes to the MRU end, so iterating the
-  // exported MRU-first list backwards reproduces its recency order.
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+  const Json* memo = state.get("memo");
+  if (memo == nullptr || !memo->is_array()) return loaded;
+  std::vector<std::pair<std::uint64_t, Fitness>> entries;
+  entries.reserve(memo->as_array().size());
+  for (const Json& entry : memo->as_array()) {
     std::uint64_t key = 0;
-    std::uint64_t lane64 = 0;
-    const std::string line = it->get_string("genotype", "");
-    if (!json_read_u64(it->get("key"), key) ||
-        !json_read_u64(it->get("lane"), lane64) || line.empty() ||
-        lane64 >= config_.num_arrays) {
-      ++loaded.cache_skipped;
-      continue;
+    Fitness fitness = 0;
+    if (json_read_u64(entry.get("k"), key) &&
+        json_read_u64(entry.get("f"), fitness)) {
+      entries.emplace_back(key, fitness);
     }
-    evo::Genotype genotype;
-    try {
-      genotype = evo::deserialize_genotype(line);
-    } catch (const std::exception&) {
-      ++loaded.cache_skipped;
-      continue;
-    }
-    if (genotype.shape() != config_.shape) {
-      ++loaded.cache_skipped;
-      continue;
-    }
-    const auto lane = static_cast<std::size_t>(lane64);
-    (void)scratch.configure_array(lane, genotype, 0);
-    const std::uint64_t recomputed =
-        hash_mix(scratch.configuration_fingerprint(lane), genotype.hash());
-    if (recomputed != key) {
-      ++loaded.cache_skipped;
-      continue;
-    }
-    cache_.warm_insert(
-        key, lane, line,
-        std::make_shared<const pe::CompiledArray>(scratch.compile_array(lane)));
-    ++loaded.cache_loaded;
   }
+  memo_.preload(entries);
+  loaded.memo_loaded = entries.size();
   return loaded;
 }
 

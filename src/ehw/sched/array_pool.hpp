@@ -21,11 +21,12 @@
 // work-stealing WorkStealPool bounded by hardware concurrency — no
 // thread is created or destroyed per job; pixel kernels may additionally
 // fan out over PoolConfig.host_pool), the compiled-array cache — keyed
-// by configuration fingerprint (genotype + defect map), so identical
-// candidates across missions and generations never recompile — and the
-// fitness memo, which skips frame streaming entirely for (candidate,
-// frame-set) pairs any mission already measured. Cache and memo warmth
-// affect host speed only, never simulated results.
+// by configuration fingerprint (genotype + defect map); every candidate
+// is fingerprinted and looked up there, and compiled on a miss, which on
+// the benchmark workloads is every lookup — and the fitness memo, which
+// then skips frame streaming entirely for (candidate, frame-set) pairs
+// any mission already measured. Cache and memo warmth affect host speed
+// only, never simulated results.
 //
 // Unit of work: the PR-2 wave protocol. Drivers hold a
 // platform::WaveExecutor; the pool's MissionContext implements it by
@@ -92,9 +93,9 @@ struct PoolConfig {
   /// Cap on simultaneously running jobs; 0 = bounded by arrays only.
   std::size_t max_concurrent_jobs = 0;
   /// Execution core job bodies run on; nullptr = the process-shared
-  /// WorkStealPool::shared(). Both the scheduler CLI and the service
-  /// daemon hand their pools the same instance, so a host never runs
-  /// more job threads than cores no matter how many pools front it.
+  /// WorkStealPool::shared(). Every pool in a process shares that
+  /// instance, so a host never runs more job threads than cores no
+  /// matter how many pools it builds.
   WorkStealPool* workers = nullptr;
 };
 
@@ -161,7 +162,7 @@ class MissionPreempted : public std::runtime_error {
 
 class ArrayPool;
 class MissionImagesCache;  // missions.hpp (a layer above): pool-owned so
-                           // warm frames follow placement affinity
+                           // every mission on the pool shares its frames
 
 /// One observation of a job's life, delivered to MissionRunner
 /// subscribers: a wave completed (kProgress) or the job left the running
@@ -402,23 +403,16 @@ class ArrayPool {
   }
 
   // --- warm-state persistence ---------------------------------------------
-  /// Serializes the shared fitness memo and the rebuild recipes of the
-  /// resident compiled-array entries ("mpa-warm-v1"). Cache and memo
-  /// warmth affect host speed only, never simulated results, so this is
-  /// purely a restart accelerator.
+  /// Serializes the shared fitness memo ("mpa-warm-v1"). Memo warmth
+  /// affects host speed only, never simulated results, so this is purely
+  /// a restart accelerator.
   [[nodiscard]] Json export_warm_state() const;
 
   struct WarmLoadStats {
     std::size_t memo_loaded = 0;
-    std::size_t cache_loaded = 0;
-    /// Recipes whose recomputed key did not match (different platform
-    /// seed or fabric), were malformed, or referenced an out-of-range
-    /// lane — dropped, never trusted.
-    std::size_t cache_skipped = 0;
   };
   /// Rehydrates from a prior export: memo entries are preloaded verbatim
-  /// (content-hash keyed); cache recipes are recompiled on a scratch
-  /// platform slice and admitted only when the re-derived key matches.
+  /// (content-hash keyed). Any other format loads nothing.
   WarmLoadStats import_warm_state(const Json& state);
 
   /// Currently running + queued job counts (snapshot).
@@ -450,8 +444,8 @@ class ArrayPool {
   /// Lock-free snapshot from atomic mirrors published at the end of every
   /// guarded state transition. Each counter is individually exact, but
   /// the set is not a single consistent point in time the way
-  /// pool_stats() is — built for high-rate pollers (PoolGroup::stats,
-  /// the forwarder's placement loop, `mpa stats`) that must never
+  /// pool_stats() is — built for high-rate pollers (the daemon's stats
+  /// op, which the forwarder polls, and `mpa stats`) that must never
   /// serialize against job bookkeeping under mutex_.
   [[nodiscard]] PoolStats quick_stats() const noexcept;
 

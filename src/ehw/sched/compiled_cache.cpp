@@ -38,7 +38,7 @@ std::shared_ptr<const pe::CompiledArray> CompiledArrayCache::get_or_compile(
     return it->second.value;
   }
   lru_.push_front(key);
-  index_.emplace(key, Entry{value, lru_.begin(), 0, {}});
+  index_.emplace(key, Entry{value, lru_.begin()});
   while (index_.size() > capacity_) {
     index_.erase(lru_.back());
     lru_.pop_back();
@@ -61,43 +61,6 @@ void CompiledArrayCache::clear() {
   std::lock_guard lock(mutex_);
   index_.clear();
   lru_.clear();
-}
-
-void CompiledArrayCache::note_recipe(std::uint64_t key, std::size_t lane,
-                                     std::string genotype_line) {
-  std::lock_guard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return;  // already evicted (tiny caches)
-  it->second.lane = lane;
-  it->second.genotype = std::move(genotype_line);
-}
-
-std::vector<CacheRecipe> CompiledArrayCache::recipes() const {
-  std::lock_guard lock(mutex_);
-  std::vector<CacheRecipe> out;
-  out.reserve(index_.size());
-  for (const std::uint64_t key : lru_) {
-    const Entry& entry = index_.at(key);
-    if (entry.genotype.empty()) continue;
-    out.push_back(CacheRecipe{key, entry.lane, entry.genotype});
-  }
-  return out;
-}
-
-void CompiledArrayCache::warm_insert(
-    std::uint64_t key, std::size_t lane, std::string genotype_line,
-    std::shared_ptr<const pe::CompiledArray> value) {
-  if (capacity_ == 0) return;
-  std::lock_guard lock(mutex_);
-  if (index_.find(key) != index_.end()) return;
-  lru_.push_front(key);
-  index_.emplace(key,
-                 Entry{std::move(value), lru_.begin(), lane,
-                       std::move(genotype_line)});
-  while (index_.size() > capacity_) {
-    index_.erase(lru_.back());
-    lru_.pop_back();
-  }
 }
 
 }  // namespace ehw::sched

@@ -2,12 +2,15 @@
 // Genotype-keyed compiled-array cache shared by every mission on an
 // ArrayPool. The key is EvolvablePlatform::configuration_fingerprint — a
 // content hash of the genotype as materialized in configuration memory
-// plus the defect map and ACB registers — so identical candidates reached
-// by different missions, generations or neutral-drift revisits never
-// recompile. Values are shared_ptr<const CompiledArray>: CompiledArray
-// evaluation is const and allocation-free, so one instance serves any
-// number of concurrently evaluating missions; eviction only drops the
-// cache's reference, never an array a wave is still streaming through.
+// plus the defect map and ACB registers — mixed with the genotype's own
+// hash. Every candidate is fingerprinted and looked up; a hit skips
+// compilation. On the mission-service benchmark workloads the LRU does
+// not hit (cache_hit_rate 0.0): every candidate is fingerprinted and
+// compiled, and then the fitness memo answers the repeats.
+// Values are shared_ptr<const CompiledArray>: CompiledArray evaluation is
+// const and allocation-free, so one instance serves any number of
+// concurrently evaluating missions; eviction only drops the cache's
+// reference, never an array a wave is still streaming through.
 //
 // Thread safety: the index is mutex-guarded; compilation runs OUTSIDE the
 // lock so a slow compile never serializes unrelated missions. Two threads
@@ -19,9 +22,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "ehw/pe/compiled.hpp"
 
@@ -37,17 +38,6 @@ struct CacheStats {
                ? 0.0
                : static_cast<double>(hits) / static_cast<double>(total);
   }
-};
-
-/// How to rebuild one cached compiled array on a fresh pool: the
-/// slice-local lane it was compiled for and the genotype line configured
-/// there. The key is re-derived (never trusted) on import — a recipe
-/// whose recomputed key differs (different platform seed, damaged lane)
-/// is silently dropped, so warm-state files can never poison results.
-struct CacheRecipe {
-  std::uint64_t key = 0;
-  std::size_t lane = 0;
-  std::string genotype;  // serialize_genotype line
 };
 
 class CompiledArrayCache {
@@ -72,31 +62,10 @@ class CompiledArrayCache {
   [[nodiscard]] CacheStats stats() const;
   void clear();
 
-  /// Records the rebuild recipe for `key` (called by the compile path on
-  /// a miss). Recipes ride along with entries: evicting the entry drops
-  /// its recipe.
-  void note_recipe(std::uint64_t key, std::size_t lane,
-                   std::string genotype_line);
-
-  /// Recipes of the currently resident entries, most recently used first
-  /// — the persistable image of the cache.
-  [[nodiscard]] std::vector<CacheRecipe> recipes() const;
-
-  /// Inserts a pre-compiled value (warm-state import). Counts neither a
-  /// hit nor a miss; no-op when caching is disabled or the key is
-  /// already resident.
-  void warm_insert(std::uint64_t key, std::size_t lane,
-                   std::string genotype_line,
-                   std::shared_ptr<const pe::CompiledArray> value);
-
  private:
   struct Entry {
     std::shared_ptr<const pe::CompiledArray> value;
     std::list<std::uint64_t>::iterator lru_pos;
-    /// Rebuild recipe; `genotype` empty when never recorded (direct
-    /// get_or_compile callers that don't persist).
-    std::size_t lane = 0;
-    std::string genotype;
   };
 
   std::size_t capacity_;

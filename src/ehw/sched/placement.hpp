@@ -1,25 +1,22 @@
 #pragma once
-// PlacementPolicy — scores candidate pools (or federated backends) for a
-// mission and remembers where each mission *fingerprint* last ran.
+// PlacementPolicy — scores candidate targets (federated backend daemons)
+// for a mission and remembers where each mission *fingerprint* last ran.
 //
-// Both scale-out layers route through this one abstraction: PoolGroup
-// places submits across its in-process ArrayPools, and svc::Forwarder
-// places them across backend daemons using exactly the same scoring fed
-// by stats/health polls. Two signals matter:
+// svc::Forwarder places submits across its backends with this policy,
+// fed by its stats/health polls. Two signals matter:
 //
-//   * free capacity — a pool with idle arrays starts the mission now; a
-//     busy pool queues it. Quarantined lanes shrink a pool's usable
+//   * free capacity — a target with idle arrays starts the mission now; a
+//     busy one queues it. Quarantined lanes shrink a target's usable
 //     capacity and push fresh work elsewhere.
-//   * cache locality — ArrayPool shares a FitnessMemo keyed by frame-set
-//     content id and a compiled-array cache keyed by configuration
-//     fingerprint + genotype hash. Re-running a mission whose frames and
-//     candidate stream a pool has already measured skips frame streaming
-//     (memo hits) and recompilation (cache hits) entirely. The policy
-//     keys that warmth by a *fingerprint*: a content hash over every
-//     spec field that determines the frame set and the candidate stream
-//     (kind, size, scene seed, noise, ES parameters, seeds — NOT the
-//     mission name), so repeat missions land where their warm state
-//     lives.
+//   * memo locality — each daemon's ArrayPool shares a FitnessMemo keyed
+//     by frame-set content id and candidate. Every candidate of a repeat
+//     mission is still configured, fingerprinted and compiled, but the
+//     memo then answers it without streaming frames, and the pool's
+//     mission-image cache skips scene synthesis. The policy keys that
+//     warmth by a *fingerprint*: a content hash over every spec field
+//     that determines the frame set and the candidate stream (kind,
+//     size, scene seed, noise, ES parameters, seeds — NOT the mission
+//     name), so repeat missions land where their warm memo lives.
 //
 // Warmth affects host speed only, never simulated results — the
 // scheduler's bit-identity guarantee holds wherever a mission is placed,
@@ -42,9 +39,8 @@
 
 namespace ehw::sched {
 
-/// One candidate pool/backend as the policy sees it: a cheap counter
-/// snapshot (ArrayPool::quick_stats for in-process pools, the last
-/// stats/health poll for federated backends).
+/// One candidate backend as the policy sees it: a cheap counter
+/// snapshot from its last stats/health poll.
 struct PlacementTarget {
   std::size_t total_arrays = 0;
   std::size_t free_arrays = 0;
@@ -72,8 +68,8 @@ class PlacementPolicy {
 
   /// Content fingerprint of the warm state a spec's mission builds:
   /// every field that shapes the frame set or the candidate stream.
-  /// Identical fingerprints hit each other's memo/cache entries;
-  /// the mission name deliberately does not participate.
+  /// Identical fingerprints hit each other's memo entries; the mission
+  /// name deliberately does not participate.
   [[nodiscard]] static std::uint64_t fingerprint(const MissionSpec& spec);
 
   struct Decision {

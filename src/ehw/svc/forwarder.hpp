@@ -4,12 +4,13 @@
 // svc::Client) to a set of backend daemons, so a cluster of `mpa serve`
 // processes looks like one big service.
 //
-// Routing reuses the exact PlacementPolicy that PoolGroup uses for
-// in-process shards: each backend is a PlacementTarget refreshed by a
-// background stats poll, and repeat mission fingerprints are steered to
-// the backend whose FitnessMemo / compiled-array cache is already warm
-// with their frames and candidates. Placement is a speed decision only —
-// every backend computes bit-identical results for the same spec.
+// Routing goes through a sched::PlacementPolicy: each backend is a
+// PlacementTarget refreshed by a background stats poll, and repeat
+// mission fingerprints are steered to the backend whose FitnessMemo
+// already holds their fitnesses (every candidate is still fingerprinted
+// and compiled there; the memo then skips its frame streaming).
+// Placement is a speed decision only — every backend computes
+// bit-identical results for the same spec.
 //
 // Liveness and failover: a backend that misses `down_after` consecutive
 // polls is declared down. Its placement affinities are dropped (the warm

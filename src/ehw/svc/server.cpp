@@ -17,8 +17,7 @@
 namespace ehw::svc {
 namespace {
 
-/// One pool-counters object (the "pool" aggregate and each "pools" row
-/// share the shape).
+/// The stats op's "pool" counters object.
 Json pool_stats_json(const sched::ArrayPool::PoolStats& stats) {
   Json pool = Json::object();
   pool.set("arrays", static_cast<std::uint64_t>(stats.num_arrays));
@@ -47,15 +46,10 @@ std::optional<std::uint64_t> record_id(const Json& record, const char* key) {
 
 }  // namespace
 
-Server::Server(ServerConfig config) : config_(std::move(config)) {
-  if (config_.pools == 0) config_.pools = 1;
-  max_inflight_ = config_.max_inflight != 0
-                      ? config_.max_inflight
-                      : 2 * config_.pools * config_.pool.num_arrays;
-  sched::PoolGroupConfig group_config;
-  group_config.pools = config_.pools;
-  group_config.pool = config_.pool;
-  group_ = std::make_unique<sched::PoolGroup>(group_config);
+Server::Server(ServerConfig config)
+    : config_(std::move(config)), pool_(config_.pool) {
+  max_inflight_ = config_.max_inflight != 0 ? config_.max_inflight
+                                            : 2 * config_.pool.num_arrays;
   // Identity first: the greeting/stats of the fresh incarnation must
   // already carry the bumped epoch when the first client connects.
   mint_identity();
@@ -120,7 +114,7 @@ std::uint64_t Server::retry_after_ms_locked(std::size_t incoming) const {
   const double per_mission_ms =
       wall.count > 0 ? wall.quantile(0.50) / 1e6 : 100.0;
   const double parallel = static_cast<double>(
-      std::max<std::size_t>(1, config_.pools * config_.pool.num_arrays));
+      std::max<std::size_t>(1, config_.pool.num_arrays));
   const double backlog = static_cast<double>(inflight_) +
                          static_cast<double>(incoming) -
                          static_cast<double>(max_inflight_) + 1.0;
@@ -137,15 +131,13 @@ void Server::replay_journal() {
   journal_corrupt_ = replay.corrupt;
   journal_truncated_tail_ = replay.truncated_tail;
 
-  // Warm state first, so resumed missions hit the warmed memo/cache.
+  // Warm state first, so resumed missions hit the warmed memo.
   if (config_.persist_warm) {
     std::string text;
     if (read_file_text(journal_->warm_path(), text).empty()) {
       try {
-        const sched::ArrayPool::WarmLoadStats warm =
-            group_->import_warm_state(Json::parse(text));
-        warm_memo_loaded_ = warm.memo_loaded;
-        warm_cache_loaded_ = warm.cache_loaded;
+        warm_memo_loaded_ =
+            pool_.import_warm_state(Json::parse(text)).memo_loaded;
       } catch (const JsonError&) {
         // A corrupt warm file costs only recomputation, never recovery.
       }
@@ -217,15 +209,14 @@ void Server::replay_journal() {
       continue;
     }
     // Unfinished across the crash: lane demand is re-validated against
-    // THIS pool layout (a restart may have shrunk it). Lanes are capped
-    // per pool — a lease never spans pools.
-    if (record->spec.lanes > group_->arrays_per_pool()) {
+    // THIS pool (a restart may have shrunk it).
+    if (record->spec.lanes > config_.pool.num_arrays) {
       Json body = Json::object();
       body.set("status", status_name(sched::JobStatus::kFailed));
       body.set("error",
                "recovery: lanes=" + std::to_string(record->spec.lanes) +
                    " exceeds the pool's " +
-                   std::to_string(group_->arrays_per_pool()) + " arrays");
+                   std::to_string(config_.pool.num_arrays) + " arrays");
       Json rec = Json::object();
       rec.set("rec", "finished");
       rec.set("job", id);
@@ -297,15 +288,15 @@ void Server::stop() {
   frontend_->close();
   // Let in-flight jobs finish first: sessions blocked in a "result" op
   // only unblock when their job does.
-  group_->wait_all();
+  pool_.wait_all();
   frontend_->join();
   // A session may have submitted between the first wait and its join.
-  group_->wait_all();
-  // Durable daemons snapshot memo + cache recipes on the way out; the
-  // next incarnation preloads them (pure optimization, loss is benign).
+  pool_.wait_all();
+  // Durable daemons snapshot the memo on the way out; the next
+  // incarnation preloads it (pure optimization, loss is benign).
   if (journal_ != nullptr && config_.persist_warm) {
     static_cast<void>(atomic_write_file(
-        journal_->warm_path(), group_->export_warm_state().dump() + "\n"));
+        journal_->warm_path(), pool_.export_warm_state().dump() + "\n"));
   }
   stopped_ = true;
 }
@@ -343,7 +334,6 @@ JournalStats Server::journal_stats() const {
   stats.corrupt = journal_corrupt_;
   stats.truncated_tail = journal_truncated_tail_;
   stats.warm_memo_loaded = warm_memo_loaded_;
-  stats.warm_cache_loaded = warm_cache_loaded_;
   stats.checkpoints_written = m_checkpoints_written_.value();
   stats.appended = journal_->appended();
   return stats;
@@ -375,11 +365,10 @@ Json Server::handle_submit(const Json& request) {
   sched::MissionSpec spec;
   const std::string spec_error = spec_from_json(*spec_field, spec);
   if (!spec_error.empty()) return make_error(spec_error, "bad_spec");
-  if (spec.lanes > group_->arrays_per_pool()) {
+  if (spec.lanes > config_.pool.num_arrays) {
     return make_error("lanes=" + std::to_string(spec.lanes) +
                           " exceeds the pool's " +
-                          std::to_string(group_->arrays_per_pool()) +
-                          " arrays",
+                          std::to_string(config_.pool.num_arrays) + " arrays",
                       "bad_spec");
   }
   // Optional resume state (protocol v1, additive): a checkpoint emitted
@@ -433,7 +422,7 @@ Json Server::handle_submit(const Json& request) {
   response.set("job", record->id);
   response.set("name", spec.name);
   // Admission-to-ack latency: spec validation + write-ahead journal +
-  // pool placement. The ack write itself is the session loop's.
+  // pool submission. The ack write itself is the session loop's.
   m_submit_latency_.record(obs::Tracer::now_ns() - admit_start_ns);
   return response;
 }
@@ -479,16 +468,13 @@ void Server::launch_job(const std::shared_ptr<JobRecord>& record) {
   if (record->grant_lanes != 0) config.lanes = record->grant_lanes;
   // Pool submission happens OUTSIDE state_mutex_: admit_locked's
   // dispatch-failure path synchronously fires a queued job's kFinished
-  // observer, which locks state_mutex_ on this thread. The group places
-  // the job by the spec's fingerprint (capacity + cache locality).
-  const sched::PoolGroup::Placed placed = group_->submit(
-      record->spec, config, sched::make_job_body(record->spec, checkpointing));
-  const std::shared_ptr<sched::MissionRunner> runner = placed.runner;
+  // observer, which locks state_mutex_ on this thread.
+  const std::shared_ptr<sched::MissionRunner> runner = pool_.submit(
+      config, sched::make_job_body(record->spec, checkpointing));
   std::vector<std::function<void(const sched::MissionEvent&)>> watchers;
   {
     std::lock_guard lock(state_mutex_);
     record->runner = runner;
-    record->pool_index = placed.pool;
     jobs_.emplace(record->id, record);
     prune_finished_locked();
     watchers = record->watchers;
@@ -498,7 +484,7 @@ void Server::launch_job(const std::shared_ptr<JobRecord>& record) {
   // The pool's own record of finished jobs (body closure, outcome
   // reference) is redundant once the service holds the runner — reap it
   // so daemon memory stays bounded over long uptimes.
-  static_cast<void>(group_->reap_finished());
+  static_cast<void>(pool_.reap_finished());
   // Also outside state_mutex_: an already-finished job fires the
   // callback immediately on THIS thread.
   runner->subscribe([this, record, runner](const sched::MissionEvent& event) {
@@ -551,9 +537,7 @@ void Server::migrate_job(const std::shared_ptr<JobRecord>& record) {
     resume = record->latest;
     if (record->runner != nullptr) waves = record->runner->waves_completed();
   }
-  // A migration may land on ANY pool with room — the relaunch goes back
-  // through group placement, so size the grant by the best single pool.
-  const std::size_t healthy = group_->max_healthy_arrays();
+  const std::size_t healthy = pool_.healthy_arrays();
   std::string error;
   if (resume == nullptr) {
     // Preempted before any generation boundary emitted state — nothing
@@ -630,11 +614,11 @@ Json Server::handle_submit_batch(const Json& request) {
   const std::string parse_error = batch_specs_from_json(request, specs);
   if (!parse_error.empty()) return make_error(parse_error, "bad_spec");
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].lanes > group_->arrays_per_pool()) {
+    if (specs[i].lanes > config_.pool.num_arrays) {
       return make_error("spec " + std::to_string(i) + ": lanes=" +
                             std::to_string(specs[i].lanes) +
                             " exceeds the pool's " +
-                            std::to_string(group_->arrays_per_pool()) +
+                            std::to_string(config_.pool.num_arrays) +
                             " arrays",
                         "bad_spec");
     }
@@ -848,26 +832,9 @@ Json Server::handle_list() {
 Json Server::handle_stats() {
   // Lock-free mirrors, not pool_stats(): a stats poll (the forwarder
   // hits this a few times a second per backend) must never serialize
-  // against job bookkeeping under the pool mutexes.
-  const sched::PoolGroup::GroupStats group_stats = group_->stats();
-  const sched::CacheStats cache_stats = group_->cache_stats();
+  // against job bookkeeping under the pool mutex.
+  const sched::CacheStats cache_stats = pool_.cache_stats();
   const ServiceStats service = service_stats();
-
-  Json pool = pool_stats_json(group_stats.total);
-  Json pools = Json::array();
-  for (std::size_t i = 0; i < group_stats.per_pool.size(); ++i) {
-    Json row = pool_stats_json(group_stats.per_pool[i]);
-    row.set("pool", static_cast<std::uint64_t>(i));
-    pools.push_back(std::move(row));
-  }
-
-  const sched::PlacementPolicy::Stats placement_stats =
-      group_->placement_stats();
-  Json placement = Json::object();
-  placement.set("pools", static_cast<std::uint64_t>(group_->pool_count()));
-  placement.set("placed", placement_stats.placed);
-  placement.set("affinity_hits", placement_stats.affinity_hits);
-  placement.set("spills", placement_stats.spills);
 
   Json cache = Json::object();
   cache.set("hits", cache_stats.hits);
@@ -875,7 +842,7 @@ Json Server::handle_stats() {
   cache.set("evictions", cache_stats.evictions);
   cache.set("hit_rate", cache_stats.hit_rate());
 
-  const evo::FitnessMemoStats memo_stats = group_->memo_stats();
+  const evo::FitnessMemoStats memo_stats = pool_.memo_stats();
   Json memo = Json::object();
   memo.set("hits", memo_stats.hits);
   memo.set("misses", memo_stats.misses);
@@ -915,9 +882,7 @@ Json Server::handle_stats() {
   telemetry.set("trace_armed", obs::Tracer::armed());
 
   Json response = make_ok();
-  response.set("pool", std::move(pool));
-  response.set("pools", std::move(pools));
-  response.set("placement", std::move(placement));
+  response.set("pool", pool_stats_json(pool_.quick_stats()));
   response.set("cache", std::move(cache));
   response.set("memo", std::move(memo));
   response.set("service", std::move(svc));
@@ -936,7 +901,6 @@ Json Server::handle_stats() {
     journal.set("checkpoints_written", js.checkpoints_written);
     journal.set("checkpoint_every", config_.checkpoint_every);
     journal.set("warm_memo_loaded", js.warm_memo_loaded);
-    journal.set("warm_cache_loaded", js.warm_cache_loaded);
     response.set("journal", std::move(journal));
   }
   return response;
@@ -944,11 +908,8 @@ Json Server::handle_stats() {
 
 Json Server::handle_health() {
   Json arrays = Json::array();
-  for (const sched::PoolGroup::GroupArrayHealth& entry_health :
-       group_->array_health()) {
-    const sched::ArrayPool::ArrayHealth& health = entry_health.health;
+  for (const sched::ArrayPool::ArrayHealth& health : pool_.array_health()) {
     Json entry = Json::object();
-    entry.set("pool", static_cast<std::uint64_t>(entry_health.pool));
     entry.set("array", static_cast<std::uint64_t>(health.id));
     const char* state = "free";
     if (health.state == sched::ArrayPool::ArrayHealth::State::kLeased) {
@@ -962,7 +923,7 @@ Json Server::handle_health() {
     if (!health.job.empty()) entry.set("job", health.job);
     arrays.push_back(std::move(entry));
   }
-  const sched::ArrayPool::PoolStats stats = group_->stats().total;
+  const sched::ArrayPool::PoolStats stats = pool_.quick_stats();
   Json response = make_ok();
   response.set("instance_id", instance_id_);
   response.set("epoch", epoch_);
@@ -1062,25 +1023,17 @@ std::optional<Json> Server::handle_watch(
 }
 
 void Server::refresh_gauges() {
-  const sched::ArrayPool::PoolStats pool = group_->stats().total;
+  const sched::ArrayPool::PoolStats pool = pool_.quick_stats();
   metrics_.gauge("mpa_queue_depth").set(static_cast<double>(pool.queued));
   metrics_.gauge("mpa_running_missions").set(static_cast<double>(pool.running));
   metrics_.gauge("mpa_free_arrays").set(static_cast<double>(pool.free_arrays));
   metrics_.gauge("mpa_quarantined_arrays")
       .set(static_cast<double>(pool.quarantined));
 
-  const sched::CacheStats cache = group_->cache_stats();
+  const sched::CacheStats cache = pool_.cache_stats();
   metrics_.gauge("mpa_compiled_cache_hit_rate").set(cache.hit_rate());
-  const evo::FitnessMemoStats memo = group_->memo_stats();
+  const evo::FitnessMemoStats memo = pool_.memo_stats();
   metrics_.gauge("mpa_fitness_memo_hit_rate").set(memo.hit_rate());
-
-  const sched::PlacementPolicy::Stats placement = group_->placement_stats();
-  metrics_.gauge("mpa_placement_placed")
-      .set(static_cast<double>(placement.placed));
-  metrics_.gauge("mpa_placement_affinity_hits")
-      .set(static_cast<double>(placement.affinity_hits));
-  metrics_.gauge("mpa_placement_spills")
-      .set(static_cast<double>(placement.spills));
 
   const WorkStealPool::Stats steal = WorkStealPool::shared().stats();
   metrics_.gauge("mpa_steal_tasks_executed")

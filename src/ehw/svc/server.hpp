@@ -1,8 +1,8 @@
 #pragma once
 // svc::Server — the mission service daemon: a loopback TCP front-end
-// over a sched::PoolGroup (one or more ArrayPools behind a placement
-// policy; see pool_group.hpp for why sharding helps a busy daemon). The
-// sessions, frame armor and handshake are svc::Frontend's (frontend.hpp).
+// over one sched::ArrayPool. Scaling past one pool means more daemons
+// behind an svc::Forwarder. The sessions, frame armor and handshake are
+// svc::Frontend's (frontend.hpp).
 //
 // Admission control: at most `max_inflight` jobs may be submitted but
 // not yet finished (queued in the pool counts); beyond that, submits are
@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "ehw/obs/metrics.hpp"
-#include "ehw/sched/pool_group.hpp"
+#include "ehw/sched/array_pool.hpp"
 #include "ehw/svc/frontend.hpp"
 #include "ehw/svc/journal.hpp"
 #include "ehw/svc/protocol.hpp"
@@ -48,13 +48,9 @@
 namespace ehw::svc {
 
 struct ServerConfig : FrontendConfig {
-  /// The scheduler pool(s) the daemon fronts. Each of `pools` shards is
-  /// built from `pool` (per-pool queue, locks, cache + memo); submits are
-  /// routed across them by the group's PlacementPolicy (free capacity +
-  /// cache locality). One pool reproduces the pre-sharded daemon exactly.
+  /// The scheduler pool the daemon fronts.
   sched::PoolConfig pool;
-  std::size_t pools = 1;
-  /// Submitted-but-unfinished job cap; 0 = 2x total arrays.
+  /// Submitted-but-unfinished job cap; 0 = 2x the pool's arrays.
   std::size_t max_inflight = 0;
   /// Finished-job retention: when the registry exceeds this many
   /// records, the oldest FINISHED jobs are evicted (their ids stop
@@ -70,8 +66,8 @@ struct ServerConfig : FrontendConfig {
   /// checkpointing (recovery then restarts missions from scratch, still
   /// bit-identical — just slower).
   std::uint64_t checkpoint_every = 25;
-  /// Persist the FitnessMemo + compiled-array cache to warm.json on
-  /// graceful stop and preload them on startup (journaled daemons only).
+  /// Persist the FitnessMemo to warm.json on graceful stop and preload it
+  /// on startup (journaled daemons only).
   bool persist_warm = true;
 };
 
@@ -86,7 +82,6 @@ struct JournalStats {
   std::uint64_t corrupt = 0;  // unparsable interior lines
   bool truncated_tail = false;  // torn final line (crash mid-append)
   std::uint64_t warm_memo_loaded = 0;
-  std::uint64_t warm_cache_loaded = 0;
   std::uint64_t checkpoints_written = 0;  // this incarnation
   std::uint64_t appended = 0;             // this incarnation
 };
@@ -131,10 +126,7 @@ class Server {
     return instance_id_;
   }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-  /// The first (often only) pool — the pre-sharding surface most tests
-  /// and tools poke at.
-  [[nodiscard]] sched::ArrayPool& pool() noexcept { return group_->pool(0); }
-  [[nodiscard]] sched::PoolGroup& group() noexcept { return *group_; }
+  [[nodiscard]] sched::ArrayPool& pool() noexcept { return pool_; }
 
   /// Stops admitting new jobs (running/queued ones finish normally).
   void drain();
@@ -157,7 +149,7 @@ class Server {
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
   /// Prometheus text exposition of the registry; refreshes the
   /// scrape-time gauges (queue depth, steal counts, hit rates, fault
-  /// firings) from the pool group first. Handed to MetricsHttp by
+  /// firings) from the pool first. Handed to MetricsHttp by
   /// `mpa serve --metrics-port`.
   [[nodiscard]] std::string metrics_text();
 
@@ -187,9 +179,6 @@ class Server {
     /// running job (journaled or not) — the state a migration restores.
     /// Guarded by state_mutex_.
     std::shared_ptr<const platform::MissionCheckpoint> latest;
-    /// Pool the current incarnation runs on (group placement decision).
-    /// Guarded by state_mutex_.
-    std::size_t pool_index = 0;
     /// Lease width override for a migrated incarnation (0 = spec.lanes).
     /// An evolve mission preempted off its slice relaunches on
     /// min(spec.lanes, healthy) arrays; the checkpoint's logical lane
@@ -240,7 +229,7 @@ class Server {
   void finish_unmigratable(const std::shared_ptr<JobRecord>& record,
                            std::uint64_t waves, const std::string& error);
 
-  /// Refreshes the scrape-time gauges from the pool group; called by
+  /// Refreshes the scrape-time gauges from the pool; called by
   /// metrics_text() and cheap enough for every scrape.
   void refresh_gauges();
 
@@ -280,7 +269,7 @@ class Server {
       metrics_.histogram("mpa_mission_sim_time_ns");
 
   // Durability. The journal is written from job threads (finished
-  // records) until group_ is destroyed, so it is declared before group_
+  // records) until pool_ is destroyed, so it is declared before pool_
   // to be destroyed after it.
   std::unique_ptr<MissionJournal> journal_;
   std::uint64_t replayed_records_ = 0;  // replay-time constants
@@ -290,7 +279,6 @@ class Server {
   std::uint64_t journal_corrupt_ = 0;
   bool journal_truncated_tail_ = false;
   std::uint64_t warm_memo_loaded_ = 0;
-  std::uint64_t warm_cache_loaded_ = 0;
 
   // Service state. Declared before the pool and the front end so it is
   // destroyed last (job-finished callbacks lock state_mutex_).
@@ -305,7 +293,7 @@ class Server {
   std::atomic<bool> draining_{false};
   bool stopped_ = false;  // stop() ran to completion (main thread only)
 
-  std::unique_ptr<sched::PoolGroup> group_;
+  sched::ArrayPool pool_;
   std::unique_ptr<Frontend> frontend_;
 };
 

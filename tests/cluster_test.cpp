@@ -3,9 +3,9 @@
 // placement-routed submits (results bit-identical to standalone runs no
 // matter which backend hosts them), batch fan-out, name-keyed ops,
 // watch streaming through the front, cluster stats/health views, drain
-// fan-out, multi-pool sharded servers behind the front, the shared
-// session layer (handshake, frame armor, the trace op) on the front, the
-// pooled southbound connections and the bounded route table.
+// fan-out, the shared session layer (handshake, frame armor, the trace
+// op) on the front, the pooled southbound connections and the bounded
+// route table.
 
 #include <gtest/gtest.h>
 
@@ -42,9 +42,8 @@ sched::MissionSpec quick_spec(const std::string& name,
   return spec;
 }
 
-ServerConfig backend_config(std::size_t arrays = 2, std::size_t pools = 1) {
+ServerConfig backend_config(std::size_t arrays = 2) {
   ServerConfig config;
-  config.pools = pools;
   config.pool.num_arrays = arrays;
   config.pool.line_width = 16;
   return config;
@@ -52,10 +51,9 @@ ServerConfig backend_config(std::size_t arrays = 2, std::size_t pools = 1) {
 
 /// Two in-process backends + a forwarder over them, ready to serve.
 struct Cluster {
-  explicit Cluster(std::size_t backends = 2, std::size_t pools = 1) {
+  explicit Cluster(std::size_t backends = 2) {
     for (std::size_t i = 0; i < backends; ++i) {
-      servers.push_back(
-          std::make_unique<Server>(backend_config(2, pools)));
+      servers.push_back(std::make_unique<Server>(backend_config(2)));
     }
     ForwarderConfig config;
     for (const auto& server : servers) {
@@ -313,35 +311,6 @@ TEST(Cluster, DrainFansOutAndRefusesNewMissions) {
       direct.submit(quick_spec("late2", 3));
   EXPECT_FALSE(backend_refused.ok);
   EXPECT_EQ(backend_refused.code, "draining");
-}
-
-// --- sharded backends behind the front --------------------------------------
-
-TEST(Cluster, ShardedBackendsServeBitIdenticalResults) {
-  // Each backend daemon itself shards into 2 pools: the two placement
-  // layers (forwarder -> backend, group -> pool) compose without
-  // touching results.
-  Cluster cluster(/*backends=*/2, /*pools=*/2);
-  Client client = cluster.client();
-  const std::vector<sched::MissionSpec> specs{
-      quick_spec("sh0", 31), quick_spec("sh1", 32), quick_spec("sh2", 33)};
-  std::vector<std::uint64_t> jobs;
-  for (const sched::MissionSpec& spec : specs) {
-    const Client::Submitted submitted = client.submit(spec);
-    ASSERT_TRUE(submitted.ok) << submitted.error;
-    jobs.push_back(submitted.job);
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_matches_standalone(client.result(jobs[i]), specs[i]);
-  }
-  // The backend's stats expose its per-pool rows through the forwarder's
-  // poll (additive daemon sections, satellite of the sharding layer).
-  Client direct(cluster.servers[0]->port());
-  const Json stats = direct.stats();
-  const Json* pools = stats.get("pools");
-  ASSERT_NE(pools, nullptr);
-  ASSERT_TRUE(pools->is_array());
-  EXPECT_EQ(pools->as_array().size(), 2u);
 }
 
 // --- membership armor: epochs, fencing, rejoin, shedding --------------------

@@ -320,7 +320,6 @@ TEST(Recovery, WarmStatePersistsAcrossRestart) {
   // The mission memoized fitness evaluations; the restarted pool starts
   // preloaded with them.
   EXPECT_GT(server.journal_stats().warm_memo_loaded, 0u);
-  EXPECT_GT(server.journal_stats().warm_cache_loaded, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
-// Tests for the scale-out placement layer: PlacementPolicy scoring
-// (locality beats round-robin on repeat fingerprints, degraded pools are
-// deprioritized, full pools spill) and PoolGroup sharding (bit-identical
-// results regardless of pool count, lock-free stats aggregation,
-// warm-state round trips including the single-pool upgrade path).
+// Tests for the forwarder's placement policy: PlacementPolicy scoring
+// (locality beats round-robin on repeat fingerprints, degraded targets
+// are deprioritized, full targets spill).
 
 #include <gtest/gtest.h>
 
@@ -11,18 +9,16 @@
 
 #include "ehw/sched/missions.hpp"
 #include "ehw/sched/placement.hpp"
-#include "ehw/sched/pool_group.hpp"
 
 namespace ehw::sched {
 namespace {
 
-MissionSpec quick_spec(std::string name, std::uint64_t scene_seed,
-                       Generation generations = 30) {
+MissionSpec quick_spec(std::string name, std::uint64_t scene_seed) {
   MissionSpec spec;
   spec.kind = MissionKind::kDenoise;
   spec.name = std::move(name);
   spec.size = 16;
-  spec.generations = generations;
+  spec.generations = 30;
   spec.scene_seed = scene_seed;
   return spec;
 }
@@ -178,145 +174,6 @@ TEST(PlacementPolicy, ScoreArithmetic) {
   degraded.free_arrays = 2;
   EXPECT_GT(PlacementPolicy::score(busy, 1, /*warm=*/false),
             PlacementPolicy::score(degraded, 1, /*warm=*/false));
-}
-
-// --- PoolGroup --------------------------------------------------------------
-
-PoolGroupConfig group_config(std::size_t pools, std::size_t arrays) {
-  PoolGroupConfig config;
-  config.pools = pools;
-  config.pool.num_arrays = arrays;
-  return config;
-}
-
-TEST(PoolGroup, ShardedResultsAreBitIdenticalToStandalone) {
-  const std::vector<MissionSpec> specs{
-      quick_spec("g0", 3), quick_spec("g1", 4), quick_spec("g2", 5),
-      quick_spec("g3", 6)};
-  PoolGroup group(group_config(2, 2));
-  std::vector<PoolGroup::Placed> placed;
-  for (const MissionSpec& spec : specs) {
-    placed.push_back(group.submit(spec, make_job_config(spec),
-                                  make_job_body(spec)));
-  }
-  group.wait_all();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    ASSERT_EQ(placed[i].runner->status(), JobStatus::kDone) << specs[i].name;
-    const JobOutcome alone = run_spec_standalone(specs[i]);
-    const JobOutcome& pooled = placed[i].runner->result();
-    EXPECT_EQ(pooled.intrinsic.es.best_fitness,
-              alone.intrinsic.es.best_fitness);
-    EXPECT_EQ(pooled.intrinsic.es.best.hash(), alone.intrinsic.es.best.hash());
-    EXPECT_EQ(pooled.stats.mission_time, alone.stats.mission_time);
-  }
-}
-
-TEST(PoolGroup, RepeatMissionsLandOnTheirWarmPool) {
-  PoolGroup group(group_config(2, 2));
-  const MissionSpec hot = quick_spec("hot", 11);
-  std::size_t home = 0;
-  for (int round = 0; round < 3; ++round) {
-    MissionSpec spec = hot;
-    spec.name = "hot-" + std::to_string(round);  // name is not the key
-    const PoolGroup::Placed placed =
-        group.submit(spec, make_job_config(spec), make_job_body(spec));
-    group.wait_all();
-    ASSERT_EQ(placed.runner->status(), JobStatus::kDone);
-    if (round == 0) {
-      home = placed.pool;
-    } else {
-      EXPECT_EQ(placed.pool, home);
-      EXPECT_TRUE(placed.affinity_hit);
-    }
-  }
-  EXPECT_EQ(group.placement_stats().affinity_hits, 2u);
-}
-
-TEST(PoolGroup, StatsAggregateAcrossPools) {
-  PoolGroup group(group_config(2, 2));
-  const std::vector<MissionSpec> specs{quick_spec("s0", 3),
-                                       quick_spec("s1", 4),
-                                       quick_spec("s2", 5)};
-  for (const MissionSpec& spec : specs) {
-    static_cast<void>(
-        group.submit(spec, make_job_config(spec), make_job_body(spec)));
-  }
-  group.wait_all();
-  const PoolGroup::GroupStats stats = group.stats();
-  ASSERT_EQ(stats.per_pool.size(), 2u);
-  EXPECT_EQ(stats.total.num_arrays, 4u);
-  EXPECT_EQ(stats.total.submitted, specs.size());
-  EXPECT_EQ(stats.total.done, specs.size());
-  EXPECT_EQ(stats.per_pool[0].submitted + stats.per_pool[1].submitted,
-            specs.size());
-  // The lock-free mirrors must agree with the mutex-guarded books once
-  // the pools are quiet.
-  for (std::size_t p = 0; p < 2; ++p) {
-    const ArrayPool::PoolStats quick = group.pool(p).quick_stats();
-    const ArrayPool::PoolStats slow = group.pool(p).pool_stats();
-    EXPECT_EQ(quick.submitted, slow.submitted);
-    EXPECT_EQ(quick.done, slow.done);
-    EXPECT_EQ(quick.free_arrays, slow.free_arrays);
-    EXPECT_EQ(quick.queued, slow.queued);
-  }
-}
-
-TEST(PoolGroup, QuarantineDegradedGroupFailsUnsatisfiableLeaseCleanly) {
-  // Every pool loses an array to quarantine: a 2-lane lease fits no
-  // pool's HEALTHY capacity. The group must hand the job to the
-  // least-degraded pool so ArrayPool's unsatisfiable-eviction path fails
-  // it with its normal error — identical to single-pool semantics.
-  PoolGroup group(group_config(2, 2));
-  group.pool(0).quarantine_array(0);
-  group.pool(1).quarantine_array(0);
-  MissionSpec spec = quick_spec("wide", 3);
-  spec.lanes = 2;
-  const PoolGroup::Placed placed =
-      group.submit(spec, make_job_config(spec), make_job_body(spec));
-  group.wait_all();
-  EXPECT_EQ(placed.runner->status(), JobStatus::kFailed);
-  EXPECT_FALSE(placed.runner->result().error.empty());
-}
-
-TEST(PoolGroup, WarmStateRoundTripsInGroupFormat) {
-  PoolGroupConfig config = group_config(2, 2);
-  Json exported;
-  {
-    PoolGroup group(config);
-    const std::vector<MissionSpec> specs{quick_spec("w0", 3),
-                                         quick_spec("w1", 4)};
-    for (const MissionSpec& spec : specs) {
-      static_cast<void>(
-          group.submit(spec, make_job_config(spec), make_job_body(spec)));
-    }
-    group.wait_all();
-    exported = group.export_warm_state();
-  }
-  EXPECT_EQ(exported.get_string("format", "?"), "mpa-warm-group-v1");
-
-  PoolGroup fresh(config);
-  const ArrayPool::WarmLoadStats warm = fresh.import_warm_state(exported);
-  EXPECT_GT(warm.memo_loaded, 0u);
-}
-
-TEST(PoolGroup, ImportAcceptsSinglePoolWarmFormat) {
-  // The upgrade path: a daemon that ran pre-sharded exports
-  // "mpa-warm-v1"; a sharded group must still accept it (into pool 0).
-  PoolConfig solo_config;
-  solo_config.num_arrays = 2;
-  Json exported;
-  {
-    ArrayPool solo(solo_config);
-    const MissionSpec spec = quick_spec("solo", 3);
-    static_cast<void>(solo.submit(make_job_config(spec), make_job_body(spec)));
-    solo.wait_all();
-    exported = solo.export_warm_state();
-  }
-  EXPECT_EQ(exported.get_string("format", "?"), "mpa-warm-v1");
-
-  PoolGroup group(group_config(2, 2));
-  const ArrayPool::WarmLoadStats warm = group.import_warm_state(exported);
-  EXPECT_GT(warm.memo_loaded, 0u);
 }
 
 }  // namespace

@@ -224,6 +224,21 @@ TEST(Robustness, QuarantineFailsQueuedJobsThatCanNeverFit) {
   hog_runner->wait();
 }
 
+TEST(Robustness, SubmitBeyondHealthyCapacityFailsAtOnce) {
+  // Two arrays, one quarantined: a 2-lane lease fits the pool but not its
+  // healthy capacity, so the submit fails before it returns instead of
+  // queueing a job that would wait forever.
+  ArrayPool pool(small_pool(2));
+  pool.quarantine_array(0);
+  const MissionSpec wide = quick_spec("wide", 10, 2);
+  const auto runner = pool.submit(make_job_config(wide), make_job_body(wide));
+  EXPECT_EQ(runner->status(), JobStatus::kFailed);
+  EXPECT_NE(runner->result().error.find("insufficient healthy arrays"),
+            std::string::npos)
+      << runner->result().error;
+  EXPECT_EQ(pool.pool_stats().failed, 1u);
+}
+
 // --- checkpoint-based migration ---------------------------------------------
 
 TEST(Robustness, PreemptedJobResumesOnEqualSliceBitIdentically) {

@@ -440,6 +440,67 @@ TEST(ArrayPool, RejectsOversizedLaneDemand) {
                std::exception);
 }
 
+TEST(ArrayPool, QuickStatsMatchPoolStatsOnceQuiet) {
+  // The lock-free mirrors the stats op reads must agree with the
+  // mutex-guarded books once the pool is quiet.
+  PoolConfig config;
+  config.num_arrays = 2;
+  ArrayPool pool(config);
+  MissionSpec spec;
+  spec.kind = MissionKind::kDenoise;
+  spec.size = 16;
+  spec.generations = 10;
+  for (std::uint64_t j = 0; j < 3; ++j) {
+    spec.name = "q" + std::to_string(j);
+    spec.scene_seed = 3 + j;
+    static_cast<void>(pool.submit(make_job_config(spec), make_job_body(spec)));
+  }
+  pool.wait_all();
+  const ArrayPool::PoolStats quick = pool.quick_stats();
+  const ArrayPool::PoolStats slow = pool.pool_stats();
+  EXPECT_EQ(quick.num_arrays, slow.num_arrays);
+  EXPECT_EQ(quick.free_arrays, slow.free_arrays);
+  EXPECT_EQ(quick.running, slow.running);
+  EXPECT_EQ(quick.queued, slow.queued);
+  EXPECT_EQ(quick.submitted, slow.submitted);
+  EXPECT_EQ(quick.done, slow.done);
+  EXPECT_EQ(quick.failed, slow.failed);
+  EXPECT_EQ(slow.submitted, 3u);
+  EXPECT_EQ(slow.done, 3u);
+}
+
+TEST(ArrayPool, WarmStateIsTheMemoOnly) {
+  PoolConfig config;
+  config.num_arrays = 2;
+  Json exported;
+  {
+    ArrayPool pool(config);
+    MissionSpec spec;
+    spec.kind = MissionKind::kDenoise;
+    spec.name = "warm";
+    spec.size = 16;
+    spec.generations = 10;
+    static_cast<void>(pool.submit(make_job_config(spec), make_job_body(spec)));
+    pool.wait_all();
+    exported = pool.export_warm_state();
+  }
+  EXPECT_EQ(exported.get_string("format", "?"), "mpa-warm-v1");
+  ASSERT_NE(exported.get("memo"), nullptr);
+  EXPECT_EQ(exported.get("cache"), nullptr);
+
+  ArrayPool fresh(config);
+  const std::size_t entries = exported.get("memo")->as_array().size();
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(fresh.import_warm_state(exported).memo_loaded, entries);
+  // Any other format (a multi-pool file included) loads nothing.
+  Json pools = Json::array();
+  pools.push_back(exported);
+  Json other = Json::object();
+  other.set("format", "mpa-warm-group-v1");
+  other.set("pools", std::move(pools));
+  EXPECT_EQ(ArrayPool(config).import_warm_state(other).memo_loaded, 0u);
+}
+
 TEST(Manifest, ParsesKindsAndRejectsMalformedLines) {
   std::istringstream good(R"(
 denoise a lanes=2 generations=5

@@ -16,10 +16,9 @@
 //                                                concurrently on one
 //                                                scheduler ArrayPool
 //   serve     [--port N] [--arrays N] ...        run the mission service
-//             [--journal DIR] [--pools N]        daemon; --pools shards the
-//             [--arrays-per-pool N]              arrays into N placement-
-//             [--checkpoint-every N] [--no-warm] routed pools; --journal
-//                                                makes it durable
+//             [--journal DIR]                    daemon over one pool of N
+//             [--checkpoint-every N] [--no-warm] arrays; --journal makes it
+//                                                durable
 //   forward   [--port N] [--poll-ms N] ...       run the federation front
 //             host:port[:journal] ...            daemon over backend
 //                                                daemons (same protocol)
@@ -28,8 +27,8 @@
 //   result    --port N --job ID|NAME             fetch (block for) one
 //                                                job's final result
 //   ps        --port N [--cluster]               list daemon jobs + stats
-//   stats     --port N                           per-pool / per-backend
-//                                                capacity + placement rows
+//   stats     --port N                           pool or per-backend
+//                                                capacity rows
 //   cancel    --port N --job ID|NAME             cancel a daemon job
 //   drain     --port N [--wait]                  drain the daemon (finish
 //                                                jobs, refuse new ones)
@@ -125,7 +124,7 @@ constexpr const char* kBatchUsage =
     "mpa batch --manifest jobs.txt [--arrays N] [--cache N] [--max-jobs N] "
     "[--sequential]";
 constexpr const char* kServeUsage =
-    "mpa serve [--port N] [--address A] [--pools N] [--arrays-per-pool N] "
+    "mpa serve [--port N] [--address A] "
     "[--arrays N] [--cache N] [--max-jobs N] [--max-inflight N] "
     "[--journal DIR] [--checkpoint-every N] [--no-warm] [--fault-plan SPEC] "
     "[--metrics-port N] [--idle-timeout-ms N] [--max-line BYTES]";
@@ -198,6 +197,38 @@ std::string require(const Cli& cli, const std::string& key,
   const std::string v = cli.get(key, "");
   if (v.empty()) fail("missing required option --" + key, cmd_usage);
   return v;
+}
+
+/// Fails on any --flag that `cmd_usage` does not list. The Cli accepts
+/// every flag, so a mistyped or retired option would otherwise be
+/// ignored and the command would run on that option's default.
+void reject_unknown_flags(const Cli& cli, const char* cmd_usage) {
+  const std::string usage = cmd_usage;
+  std::vector<std::string> known;
+  for (std::size_t at = usage.find("--"); at != std::string::npos;
+       at = usage.find("--", at + 2)) {
+    const std::size_t end =
+        usage.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", at + 2);
+    known.push_back(usage.substr(at + 2, end - (at + 2)));
+  }
+  for (const auto& entry : cli.flags()) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      fail("unknown option --" + entry.first, cmd_usage);
+    }
+  }
+}
+
+/// Size/count option lookup: a value below `min` prints the subcommand's
+/// usage and exits non-zero instead of wrapping to a huge std::size_t.
+std::size_t require_count(const Cli& cli, const std::string& key,
+                          std::int64_t fallback, std::int64_t min,
+                          const char* cmd_usage) {
+  const std::int64_t value = cli.get_int(key, fallback);
+  if (value < min) {
+    fail("invalid --" + key + " (>= " + std::to_string(min) + ")",
+         cmd_usage);
+  }
+  return static_cast<std::size_t>(value);
 }
 
 int cmd_info(const Cli& cli) {
@@ -333,6 +364,7 @@ const char* status_name(sched::JobStatus status) {
 }
 
 int cmd_batch(const Cli& cli) {
+  reject_unknown_flags(cli, kBatchUsage);
   const std::string manifest_path = require(cli, "manifest", kBatchUsage);
   std::ifstream manifest(manifest_path);
   if (!manifest) fail("cannot open manifest " + manifest_path, kBatchUsage);
@@ -341,12 +373,11 @@ int cmd_batch(const Cli& cli) {
   if (specs.empty()) fail("manifest has no jobs: " + manifest_path);
 
   sched::PoolConfig pool_config;
-  pool_config.num_arrays =
-      static_cast<std::size_t>(cli.get_int("arrays", 8));
+  pool_config.num_arrays = require_count(cli, "arrays", 8, 1, kBatchUsage);
   pool_config.cache_capacity =
-      static_cast<std::size_t>(cli.get_int("cache", 512));
+      require_count(cli, "cache", 512, 0, kBatchUsage);
   pool_config.max_concurrent_jobs =
-      static_cast<std::size_t>(cli.get_int("max-jobs", 0));
+      require_count(cli, "max-jobs", 0, 0, kBatchUsage);
   if (cli.has("sequential")) pool_config.max_concurrent_jobs = 1;
   ThreadPool host_pool;
   pool_config.host_pool = &host_pool;
@@ -516,6 +547,7 @@ void parse_frontend_flags(const Cli& cli, const char* cmd_usage,
 }
 
 int cmd_serve(const Cli& cli) {
+  reject_unknown_flags(cli, kServeUsage);
   arm_fault_plan(cli);
   // The daemon always records spans — the per-thread rings are near-free
   // and `mpa trace` must have data on demand. Benches and library
@@ -523,20 +555,12 @@ int cmd_serve(const Cli& cli) {
   obs::Tracer::global().arm();
   svc::ServerConfig config;
   parse_frontend_flags(cli, kServeUsage, config);
-  const std::int64_t pools = cli.get_int("pools", 1);
-  if (pools < 1) fail("invalid --pools (>= 1)", kServeUsage);
-  config.pools = static_cast<std::size_t>(pools);
-  // --arrays-per-pool is the sharded spelling; --arrays stays as the
-  // single-pool spelling (and the per-pool width when both are given
-  // their defaults).
-  config.pool.num_arrays = static_cast<std::size_t>(
-      cli.get_int("arrays-per-pool", cli.get_int("arrays", 8)));
+  config.pool.num_arrays = require_count(cli, "arrays", 8, 1, kServeUsage);
   config.pool.cache_capacity =
-      static_cast<std::size_t>(cli.get_int("cache", 512));
+      require_count(cli, "cache", 512, 0, kServeUsage);
   config.pool.max_concurrent_jobs =
-      static_cast<std::size_t>(cli.get_int("max-jobs", 0));
-  config.max_inflight =
-      static_cast<std::size_t>(cli.get_int("max-inflight", 0));
+      require_count(cli, "max-jobs", 0, 0, kServeUsage);
+  config.max_inflight = require_count(cli, "max-inflight", 0, 0, kServeUsage);
   config.journal_dir = cli.get("journal", "");
   const std::int64_t checkpoint_every = cli.get_int("checkpoint-every", 25);
   if (checkpoint_every < 0) {
@@ -548,12 +572,11 @@ int cmd_serve(const Cli& cli) {
   config.pool.host_pool = &host_pool;
 
   svc::Server server(std::move(config));
-  std::printf("mpa serve: listening on %s:%u (%zu pools x %zu arrays, "
-              "protocol %d, version %s)\n",
+  std::printf("mpa serve: listening on %s:%u (%zu arrays, protocol %d, "
+              "version %s)\n",
               server.config().address.c_str(),
               static_cast<unsigned>(server.port()),
-              server.group().pool_count(), server.group().arrays_per_pool(),
-              svc::kProtocolVersion, kVersion);
+              server.pool().num_arrays(), svc::kProtocolVersion, kVersion);
   const std::unique_ptr<svc::MetricsHttp> metrics = make_metrics_endpoint(
       cli, kServeUsage, "serve", server.config().address,
       [&server] { return server.metrics_text(); });
@@ -579,8 +602,8 @@ int cmd_serve(const Cli& cli) {
   server.stop();
 
   const svc::ServiceStats service = server.service_stats();
-  const sched::ArrayPool::PoolStats pool = server.group().stats().total;
-  const sched::CacheStats cache = server.group().cache_stats();
+  const sched::ArrayPool::PoolStats pool = server.pool().pool_stats();
+  const sched::CacheStats cache = server.pool().cache_stats();
   std::printf(
       "mpa serve: drained after %llu missions (%llu done, %llu failed, "
       "%llu cancelled, %llu rejected) over %llu connections | cache %.1f%% "
@@ -673,21 +696,6 @@ int cmd_forward(const Cli& cli) {
   return 0;
 }
 
-/// One line of placement-policy counters (shared by pool and cluster
-/// stats views).
-void print_placement(const Json* placement, const char* shard_noun) {
-  if (placement == nullptr) return;
-  std::printf(
-      "placement: %llu %s | %llu placed, %llu affinity hits, %llu spills\n",
-      static_cast<unsigned long long>(
-          placement->get_number(shard_noun, 0)),
-      shard_noun,
-      static_cast<unsigned long long>(placement->get_number("placed", 0)),
-      static_cast<unsigned long long>(
-          placement->get_number("affinity_hits", 0)),
-      static_cast<unsigned long long>(placement->get_number("spills", 0)));
-}
-
 /// "p50 1.2ms / p99 8.4ms" for one histogram summary in the stats
 /// response's telemetry section; "-" while it has no samples.
 std::string hist_brief(const Json* telemetry, const char* key) {
@@ -735,7 +743,18 @@ int cmd_stats(const Cli& cli) {
       }
     }
     table.print(std::cout);
-    print_placement(stats.get("placement"), "backends");
+    if (const Json* placement = stats.get("placement"); placement != nullptr) {
+      std::printf(
+          "placement: %llu backends | %llu placed, %llu affinity hits, "
+          "%llu spills\n",
+          static_cast<unsigned long long>(
+              placement->get_number("backends", 0)),
+          static_cast<unsigned long long>(placement->get_number("placed", 0)),
+          static_cast<unsigned long long>(
+              placement->get_number("affinity_hits", 0)),
+          static_cast<unsigned long long>(
+              placement->get_number("spills", 0)));
+    }
     if (const Json* fwd = stats.get("forwarder"); fwd != nullptr) {
       std::printf(
           "forwarder: %llu submitted, %llu rejected (%llu shed) | "
@@ -772,26 +791,16 @@ int cmd_stats(const Cli& cli) {
     }
     return 0;
   }
-  // Daemon view: one row per pool shard plus the aggregate.
-  Table table({"pool", "arrays", "free", "running", "queued", "submitted",
-               "done", "failed", "quarantined"});
-  const auto pool_row = [&](const std::string& label, const Json& row) {
-    table.add_row({label, row_int(row, "arrays"), row_int(row, "free_arrays"),
-                   row_int(row, "running"), row_int(row, "queued"),
-                   row_int(row, "submitted"), row_int(row, "done"),
-                   row_int(row, "failed"), row_int(row, "quarantined")});
-  };
-  const Json* pools = stats.get("pools");
-  if (pools != nullptr && pools->is_array()) {
-    for (const Json& row : pools->as_array()) {
-      pool_row(row_int(row, "pool"), row);
-    }
-  }
+  // Daemon view: its one pool.
+  Table table({"arrays", "free", "running", "queued", "submitted", "done",
+               "failed", "quarantined"});
   if (const Json* pool = stats.get("pool"); pool != nullptr) {
-    pool_row("TOTAL", *pool);
+    table.add_row({row_int(*pool, "arrays"), row_int(*pool, "free_arrays"),
+                   row_int(*pool, "running"), row_int(*pool, "queued"),
+                   row_int(*pool, "submitted"), row_int(*pool, "done"),
+                   row_int(*pool, "failed"), row_int(*pool, "quarantined")});
   }
   table.print(std::cout);
-  print_placement(stats.get("placement"), "pools");
   if (const Json* service = stats.get("service"); service != nullptr) {
     std::printf("sessions: %llu connections accepted, %llu open\n",
                 static_cast<unsigned long long>(
@@ -1345,7 +1354,7 @@ int cmd_health(const Cli& cli) {
             response.get_number("unreachable", 0)));
     return response.get_number("unreachable", 0) == 0 ? 0 : 1;
   }
-  Table table({"array", "pool", "state", "job"});
+  Table table({"array", "state", "job"});
   const Json* arrays = response.get("arrays");
   if (arrays != nullptr && arrays->is_array()) {
     for (const Json& entry : arrays->as_array()) {
@@ -1356,8 +1365,6 @@ int cmd_health(const Cli& cli) {
       table.add_row(
           {Table::integer(
                static_cast<std::uint64_t>(entry.get_number("array", 0))),
-           Table::integer(
-               static_cast<std::uint64_t>(entry.get_number("pool", 0))),
            state, entry.get_string("job", "")});
     }
   }
