@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 
 namespace ehw {
@@ -67,13 +68,26 @@ class Parser {
     }
   }
 
+  // Objects and arrays collect their elements on the parser's element
+  // stacks (nested containers above their parent's, popped when they
+  // close) and are then moved into a vector of exactly their size: a
+  // parsed document holds no spare capacity for as long as it is kept.
+  template <typename T>
+  static std::vector<T> pop_from(std::vector<T>& stack, std::size_t first) {
+    const auto begin = stack.begin() + static_cast<std::ptrdiff_t>(first);
+    std::vector<T> out(std::make_move_iterator(begin),
+                       std::make_move_iterator(stack.end()));
+    stack.erase(begin, stack.end());
+    return out;
+  }
+
   Json parse_object(std::size_t depth) {
     ++pos_;  // '{'
-    Json::Object members;
+    const std::size_t first = members_.size();
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
-      return Json(std::move(members));
+      return Json::object();
     }
     for (;;) {
       skip_whitespace();
@@ -82,7 +96,8 @@ class Parser {
       skip_whitespace();
       if (peek() != ':') fail("expected ':' after object key");
       ++pos_;
-      members.emplace_back(std::move(key), parse_value(depth + 1));
+      Json value = parse_value(depth + 1);
+      members_.emplace_back(std::move(key), std::move(value));
       skip_whitespace();
       const char next = peek();
       if (next == ',') {
@@ -91,7 +106,7 @@ class Parser {
       }
       if (next == '}') {
         ++pos_;
-        return Json(std::move(members));
+        return Json(pop_from(members_, first));
       }
       fail("expected ',' or '}' in object");
     }
@@ -99,14 +114,15 @@ class Parser {
 
   Json parse_array(std::size_t depth) {
     ++pos_;  // '['
-    Json::Array items;
+    const std::size_t first = items_.size();
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
-      return Json(std::move(items));
+      return Json::array();
     }
     for (;;) {
-      items.push_back(parse_value(depth + 1));
+      Json item = parse_value(depth + 1);
+      items_.push_back(std::move(item));
       skip_whitespace();
       const char next = peek();
       if (next == ',') {
@@ -115,7 +131,7 @@ class Parser {
       }
       if (next == ']') {
         ++pos_;
-        return Json(std::move(items));
+        return Json(pop_from(items_, first));
       }
       fail("expected ',' or ']' in array");
     }
@@ -160,7 +176,16 @@ class Parser {
 
   std::string parse_string() {
     ++pos_;  // opening quote
-    std::string out;
+    // Up to the first quote, escape or control character the string is a
+    // slice of the input: copied at its final size. The loop below ends
+    // at once on the closing quote, or handles what follows.
+    std::size_t end = pos_;
+    while (end < text_.size() && text_[end] != '"' && text_[end] != '\\' &&
+           static_cast<unsigned char>(text_[end]) >= 0x20) {
+      ++end;
+    }
+    std::string out(text_.substr(pos_, end - pos_));
+    pos_ = end;
     for (;;) {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
@@ -250,6 +275,8 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  Json::Array items_;     // elements of the arrays being parsed
+  Json::Object members_;  // members of the objects being parsed
 };
 
 void dump_string(const std::string& s, std::string& out) {

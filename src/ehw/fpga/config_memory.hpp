@@ -12,6 +12,15 @@
 //   * LPD  = stuck-at bits: a (mask, value) pair per word that every write
 //            forces, so neither scrubbing nor reconfiguration can clear it.
 // This is precisely the transient/permanent distinction of §II and §V.
+//
+// Content hash: the memory is split into equal blocks (the platform uses
+// one block per array) and keeps a running hash of each block's `actual`
+// words — the wrapping sum of a bijective mix of (offset in block, word).
+// Every change to `actual` goes through one private store, so the four
+// mutators that can change it — write, rewrite, flip_bit and
+// set_stuck_bit — keep the hash in O(1) per changed word, whoever calls
+// them (reconfiguration engine, fault injector, scrubber, ECC).
+// clear_stuck_bit leaves `actual` alone and so the hash too.
 
 #include <cstdint>
 #include <vector>
@@ -24,7 +33,10 @@ using ConfigWord = std::uint32_t;
 
 class ConfigMemory {
  public:
-  explicit ConfigMemory(std::size_t words);
+  /// One content-hash block spanning the whole memory.
+  explicit ConfigMemory(std::size_t words) : ConfigMemory(words, words) {}
+  /// `block_words` must divide `words`; each block keeps its own hash.
+  ConfigMemory(std::size_t words, std::size_t block_words);
 
   [[nodiscard]] std::size_t size() const noexcept { return actual_.size(); }
 
@@ -61,6 +73,15 @@ class ConfigMemory {
   /// Number of declared stuck bits over the whole memory.
   [[nodiscard]] std::size_t stuck_bit_count() const noexcept;
 
+  /// --- content hash ------------------------------------------------------
+
+  /// Running hash of block `block`'s actual words, O(1). Equal contents
+  /// give equal hashes in any memory with the same block size.
+  [[nodiscard]] std::uint64_t content_hash(std::size_t block) const;
+  /// The same hash recomputed from every actual word of the block: the
+  /// reference content_hash is checked against (Debug builds, tests).
+  [[nodiscard]] std::uint64_t scan_content_hash(std::size_t block) const;
+
  private:
   void check(std::size_t addr) const {
     EHW_REQUIRE(addr < actual_.size(), "config address out of range");
@@ -69,11 +90,15 @@ class ConfigMemory {
                                        ConfigWord v) const noexcept {
     return (v & ~stuck_mask_[addr]) | (stuck_value_[addr] & stuck_mask_[addr]);
   }
+  /// The only writer of `actual_`: keeps the block hash in step.
+  void store(std::size_t addr, ConfigWord value) noexcept;
 
   std::vector<ConfigWord> actual_;
   std::vector<ConfigWord> intended_;
   std::vector<ConfigWord> stuck_mask_;
   std::vector<ConfigWord> stuck_value_;
+  std::size_t block_words_;
+  std::vector<std::uint64_t> block_hash_;
 };
 
 }  // namespace ehw::fpga

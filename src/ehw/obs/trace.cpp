@@ -12,33 +12,34 @@ thread_local ProfileCollector* t_profile = nullptr;
 
 void ProfileCollector::add(const char* name, std::uint64_t dur_ns) {
   std::lock_guard lock(mutex_);
-  for (Entry& entry : entries_) {
+  for (PhaseTotal& entry : entries_) {
     if (entry.name == name) {
       ++entry.count;
       entry.total_ns += dur_ns;
       return;
     }
   }
-  entries_.push_back(Entry{name, 1, dur_ns});
+  entries_.push_back(PhaseTotal{name, 1, dur_ns});
 }
 
-bool ProfileCollector::empty() const {
+std::vector<PhaseTotal> ProfileCollector::totals() const {
   std::lock_guard lock(mutex_);
-  return entries_.empty();
+  return entries_;
 }
 
-Json ProfileCollector::to_json() const {
-  std::lock_guard lock(mutex_);
-  Json phases = Json::array();
-  for (const Entry& entry : entries_) {
+Json ProfileCollector::to_json() const { return profile_to_json(totals()); }
+
+Json profile_to_json(const std::vector<PhaseTotal>& phases) {
+  Json rows = Json::array();
+  for (const PhaseTotal& entry : phases) {
     Json phase = Json::object();
     phase.set("phase", entry.name);
     phase.set("count", entry.count);
     phase.set("total_ns", json_u64(entry.total_ns));
-    phases.push_back(std::move(phase));
+    rows.push_back(std::move(phase));
   }
   Json out = Json::object();
-  out.set("phases", std::move(phases));
+  out.set("phases", std::move(rows));
   return out;
 }
 

@@ -44,25 +44,33 @@ struct Span {
   std::uint64_t dur_ns = 0;
 };
 
+/// One phase of a mission profile: how often a span fired and its summed
+/// duration.
+struct PhaseTotal {
+  const char* name = nullptr;  // the span's literal, identity-compared
+  std::uint64_t count = 0;
+  std::uint64_t total_ns = 0;
+};
+
+/// {"phases":[{"phase":...,"count":...,"total_ns":"..."}]} in the given
+/// order; total_ns as a decimal string (64-bit exact).
+[[nodiscard]] Json profile_to_json(const std::vector<PhaseTotal>& phases);
+
 /// Per-mission phase accumulator. add() is called from the thread the
-/// collector is installed on (the job-body thread); to_json() may run
-/// later from a session thread — the mutex covers that hand-off.
+/// collector is installed on (the job-body thread); totals() and
+/// to_json() may run later from another thread — the mutex covers that
+/// hand-off.
 class ProfileCollector {
  public:
   void add(const char* name, std::uint64_t dur_ns);
-  [[nodiscard]] bool empty() const;
-  /// {"phases":[{"phase":...,"count":...,"total_ns":"..."}]} with phases
-  /// in first-seen order; total_ns as a decimal string (64-bit exact).
+  /// The phases in first-seen order.
+  [[nodiscard]] std::vector<PhaseTotal> totals() const;
+  /// profile_to_json(totals()).
   [[nodiscard]] Json to_json() const;
 
  private:
-  struct Entry {
-    const char* name = nullptr;  // identity-compared (literals)
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-  };
   mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+  std::vector<PhaseTotal> entries_;
 };
 
 namespace detail {

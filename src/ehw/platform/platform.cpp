@@ -9,7 +9,8 @@ namespace ehw::platform {
 EvolvablePlatform::EvolvablePlatform(PlatformConfig config)
     : config_(config),
       geometry_(config.num_arrays, config.shape),
-      memory_(geometry_.total_words()),
+      memory_(geometry_.total_words(),
+              geometry_.slots_per_array() * geometry_.words_per_slot()),
       library_(geometry_.words_per_slot()),
       injector_(memory_, geometry_, config.seed ^ 0xFA017EC7ULL),
       regs_(config.num_arrays) {
@@ -139,21 +140,19 @@ pe::CompiledArray EvolvablePlatform::compile_array(std::size_t array) const {
 std::uint64_t EvolvablePlatform::configuration_fingerprint(
     std::size_t array) const {
   check_array(array);
-  std::uint64_t h = hash_mix(0x5C4DF00DULL, array, config_.shape.rows,
-                             config_.shape.cols);
-  const std::size_t words = geometry_.words_per_slot();
-  for (std::size_t r = 0; r < config_.shape.rows; ++r) {
-    for (std::size_t c = 0; c < config_.shape.cols; ++c) {
-      const std::size_t base = geometry_.slot_word_base({array, r, c});
-      for (std::size_t i = 0; i < words; ++i) {
-        h = hash_mix(h, memory_.read(base + i), i);
-      }
-    }
-  }
+  // One memory hash block per array (see the constructor); the memory
+  // keeps its hash current on every write, so nothing is scanned here.
+  const std::uint64_t content = memory_.content_hash(array);
+  EHW_ASSERT(content == memory_.scan_content_hash(array),
+             "running configuration hash diverged from a full scan");
+  // At most 8 taps (one register each), every one below 9: a byte each.
+  std::uint64_t taps = 0;
   for (const std::uint8_t tap : acbs_[array].input_taps()) {
-    h = hash_mix(h, tap);
+    taps = taps << 8 | tap;
   }
-  return hash_mix(h, acbs_[array].output_row());
+  return hash_mix(
+      hash_mix(0x5C4DF00DULL, array, config_.shape.rows, config_.shape.cols),
+      content, taps, acbs_[array].output_row());
 }
 
 sim::Interval EvolvablePlatform::book_evaluation(

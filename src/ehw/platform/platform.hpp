@@ -133,6 +133,14 @@ class EvolvablePlatform {
   /// fingerprints — on this platform or any platform with the same shape
   /// and layout — decode to behaviourally identical circuits, which makes
   /// this the scheduler's compiled-array cache key.
+  ///
+  /// O(1): config_memory() keeps a running hash of each array's words,
+  /// updated by every write path (DPR writes, dummy-PE locks, SEU/LPD
+  /// injection, scrub rewrites, ECC corrections), and this mixes it with
+  /// the registers, shape and index instead of scanning the words. Debug
+  /// builds check the running hash against a full scan on every call.
+  /// The values differ from those of builds that scanned the words, so
+  /// keys such builds persisted never match.
   [[nodiscard]] std::uint64_t configuration_fingerprint(
       std::size_t array) const;
   sim::Interval book_evaluation(std::size_t array, std::size_t width,

@@ -395,7 +395,7 @@ void ArrayPool::run_job(Job* job) {
   }
   // The collector is off the thread now (scope closed with the try);
   // snapshotting it here keeps partial profiles for failed/cancelled jobs.
-  if (!profile.empty()) outcome.profile = profile.to_json();
+  outcome.profile = profile.totals();
   std::vector<FailedStart> failures;
   {
     std::lock_guard lock(mutex_);
@@ -747,7 +747,7 @@ ArrayPool::ScheduleReport ArrayPool::simulated_schedule() {
 // --- warm-state persistence -------------------------------------------------
 
 namespace {
-constexpr const char* kWarmFormatTag = "mpa-warm-v1";
+constexpr const char* kWarmFormatTag = "mpa-warm-v2";
 }  // namespace
 
 Json ArrayPool::export_warm_state() const {

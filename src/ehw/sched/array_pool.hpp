@@ -57,6 +57,7 @@
 #include "ehw/common/thread_pool.hpp"
 #include "ehw/common/work_steal.hpp"
 #include "ehw/evo/fitness_memo.hpp"
+#include "ehw/obs/trace.hpp"
 #include "ehw/platform/cascade_evolution.hpp"
 #include "ehw/platform/evolution_driver.hpp"
 #include "ehw/platform/mission.hpp"
@@ -137,11 +138,12 @@ struct JobOutcome {
   platform::CascadeResult cascade;
   platform::MissionStats stats;
   std::string error;
-  /// Host-time phase breakdown ({"phases":[{"phase","count","total_ns"}]})
-  /// accumulated by the span guards while the job body ran; null when no
-  /// instrumented phase fired. Execution telemetry, not part of the
-  /// bit-reproducible mission result.
-  Json profile;
+  /// Host-time phase totals accumulated by the span guards while the job
+  /// body ran, in first-seen order; empty when no instrumented phase
+  /// fired. Plain totals, not a Json tree, because a daemon keeps every
+  /// retained job's outcome (obs::profile_to_json renders them).
+  /// Execution telemetry, not part of the bit-reproducible mission result.
+  std::vector<obs::PhaseTotal> profile;
 };
 
 /// Thrown out of MissionContext wave/cancellation points after
@@ -403,9 +405,11 @@ class ArrayPool {
   }
 
   // --- warm-state persistence ---------------------------------------------
-  /// Serializes the shared fitness memo ("mpa-warm-v1"). Memo warmth
+  /// Serializes the shared fitness memo ("mpa-warm-v2"). Memo warmth
   /// affects host speed only, never simulated results, so this is purely
-  /// a restart accelerator.
+  /// a restart accelerator. The tag changes whenever the memo keys'
+  /// values do, so a file of keys that could never hit is not preloaded
+  /// into the LRU.
   [[nodiscard]] Json export_warm_state() const;
 
   struct WarmLoadStats {

@@ -562,7 +562,7 @@ void Forwarder::finish_route_failed(const std::shared_ptr<Route>& route,
     body.set("kind", sched::kind_name(route->spec.kind));
     route->finished = true;
     route->final_status = status_name(sched::JobStatus::kFailed);
-    route->final_result = std::move(body);
+    route->final_result = body.dump();
     release_route_locked(*route);
     ++route->generation;
   }
@@ -854,13 +854,19 @@ Json Forwarder::handle_result(const Json& request) {
   std::string error;
   const std::shared_ptr<Route> route = find_route(request, error);
   if (route == nullptr) return make_error(error, "unknown_job");
+  // A finished route's answer, copied under the lock, parsed outside it.
+  const auto final_answer = [&](std::unique_lock<std::mutex>& lock) {
+    const std::string frame = route->final_result;
+    lock.unlock();
+    return Json::parse(frame);
+  };
   for (;;) {
     std::size_t backend;
     std::uint64_t backend_job;
     std::uint64_t generation;
     {
-      std::lock_guard lock(state_mutex_);
-      if (route->finished) return route->final_result;
+      std::unique_lock lock(state_mutex_);
+      if (route->finished) return final_answer(lock);
       backend = route->backend;
       backend_job = route->backend_job;
       generation = route->generation;
@@ -882,7 +888,7 @@ Json Forwarder::handle_result(const Json& request) {
       got = false;
     }
     std::unique_lock lock(state_mutex_);
-    if (route->finished) return route->final_result;
+    if (route->finished) return final_answer(lock);
     if (route->generation != generation) continue;  // re-resolve and rewait
     if (got) {
       response.set("job", route->id);
@@ -897,7 +903,7 @@ Json Forwarder::handle_result(const Json& request) {
       // payload, so exactly one execution's result is ever observable.
       route->finished = true;
       route->final_status = response.get_string("status", "");
-      route->final_result = response;
+      route->final_result = response.dump();
       state_cv_.notify_all();
       return response;
     }

@@ -14,7 +14,7 @@
 //                   finished results byte-comparably.
 //   job-<id>.ckpt   latest mission checkpoint of an in-flight job
 //                   (sched checkpoint-store format), deleted on finish.
-//   warm.json       the pool's FitnessMemo ("mpa-warm-v1"), written on
+//   warm.json       the pool's FitnessMemo ("mpa-warm-v2"), written on
 //                   graceful stop (sched::ArrayPool warm state).
 //
 // Appends are fsync'd per record: "submitted" is a write-ahead record (a

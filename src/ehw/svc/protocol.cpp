@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "ehw/common/rng.hpp"
+#include "ehw/obs/trace.hpp"
 
 namespace ehw::svc {
 namespace {
@@ -167,7 +168,9 @@ Json outcome_to_json(sched::MissionKind kind, sched::JobStatus status,
   // Additive: phase-time breakdown from the span guards, when the
   // scheduler collected one. Present for any terminal status (a failed
   // mission's partial profile is exactly what an operator wants to see).
-  if (!outcome.profile.is_null()) result.set("profile", outcome.profile);
+  if (!outcome.profile.empty()) {
+    result.set("profile", obs::profile_to_json(outcome.profile));
+  }
   if (status != sched::JobStatus::kDone) return result;
 
   result.set("sim_ns",

@@ -62,6 +62,30 @@ TEST(Json, ParseRoundTripsEveryValueKind) {
   EXPECT_EQ(Json::parse(parsed.dump()), parsed);
 }
 
+TEST(Json, ParseSizesEveryContainerExactly) {
+  // Parsed documents are kept (results, journal records): no container
+  // may hold capacity beyond its elements.
+  const std::string wire =
+      R"({"a":[1,2,3,4,5,[6,7,8],{"x":[],"y":{}}],"b":"0123456789abcdef0",)"
+      R"("c":[{"k":1},{"k":2},{"k":3}],"d":"esc\\aped","e":true})";
+  const Json parsed = Json::parse(wire);
+  const auto expect_exact = [](const Json& value, const auto& self) -> void {
+    if (value.is_array()) {
+      EXPECT_EQ(value.as_array().capacity(), value.as_array().size());
+      for (const Json& item : value.as_array()) self(item, self);
+    } else if (value.is_object()) {
+      EXPECT_EQ(value.as_object().capacity(), value.as_object().size());
+      for (const auto& [key, member] : value.as_object()) self(member, self);
+    }
+  };
+  expect_exact(parsed, expect_exact);
+  EXPECT_EQ(parsed.as_object().size(), 5u);
+  EXPECT_EQ(parsed.get("a")->as_array().size(), 7u);
+  EXPECT_EQ(parsed.get_string("b", ""), "0123456789abcdef0");
+  EXPECT_EQ(parsed.get_string("d", ""), "esc\\aped");
+  EXPECT_EQ(parsed.dump(), wire);
+}
+
 TEST(Json, ParseHandlesSurrogatePairsAndEscapedOutput) {
   const Json parsed = Json::parse(R"("😀")");  // 😀 U+1F600
   EXPECT_EQ(parsed.as_string(), "\xF0\x9F\x98\x80");

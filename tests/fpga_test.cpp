@@ -1,10 +1,13 @@
 // Tests for ehw/fpga: geometry addressing, the two-plane configuration
-// memory, SEU/LPD fault semantics, and scrubbing.
+// memory and its running content hash, SEU/LPD fault semantics, and
+// scrubbing.
 
 #include <gtest/gtest.h>
 
+#include "ehw/common/rng.hpp"
 #include "ehw/fpga/bitstream.hpp"
 #include "ehw/fpga/config_memory.hpp"
+#include "ehw/fpga/ecc.hpp"
 #include "ehw/fpga/fault.hpp"
 #include "ehw/fpga/geometry.hpp"
 #include "ehw/fpga/scrubber.hpp"
@@ -104,6 +107,98 @@ TEST(ConfigMemory, BoundsChecked) {
   EXPECT_THROW(static_cast<void>(mem.read(4)), std::logic_error);
   EXPECT_THROW(mem.write(9, 0), std::logic_error);
   EXPECT_THROW(mem.flip_bit(0, 32), std::logic_error);
+}
+
+void expect_hashes_match_scan(const ConfigMemory& mem, std::size_t blocks,
+                              int step) {
+  for (std::size_t b = 0; b < blocks; ++b) {
+    ASSERT_EQ(mem.content_hash(b), mem.scan_content_hash(b))
+        << "block " << b << " after step " << step;
+  }
+}
+
+TEST(ConfigMemory, ContentHashTracksEveryMutator) {
+  // Four 40-word blocks; small words and bits so that random mutations
+  // often land on the same word, undo each other and revisit old states.
+  constexpr std::size_t kBlock = 40;
+  constexpr std::size_t kBlocks = 4;
+  ConfigMemory mem(kBlock * kBlocks, kBlock);
+  expect_hashes_match_scan(mem, kBlocks, -1);
+  Rng rng(0xC0FF1E);
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t addr = rng.below(mem.size());
+    const auto bit = static_cast<unsigned>(rng.below(4));
+    switch (rng.below(5)) {
+      case 0: mem.write(addr, static_cast<ConfigWord>(rng.below(16))); break;
+      case 1: static_cast<void>(mem.rewrite(addr)); break;
+      case 2: mem.flip_bit(addr, bit); break;
+      case 3: mem.set_stuck_bit(addr, bit, rng.below(2) == 1); break;
+      default: mem.clear_stuck_bit(addr, bit); break;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_hashes_match_scan(mem, kBlocks, step));
+  }
+  EXPECT_THROW(static_cast<void>(mem.content_hash(kBlocks)),
+               std::logic_error);
+  EXPECT_THROW(ConfigMemory(100, 40), std::logic_error);  // blocks must tile
+}
+
+TEST(ConfigMemory, ContentHashDependsOnContentOnly) {
+  // Equal contents hash equal whatever the history and whichever block
+  // holds them; a one-bit difference or a moved word does not.
+  ConfigMemory a(80, 40);
+  ConfigMemory b(80, 40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    a.write(i, static_cast<ConfigWord>(i * 7));
+    b.write(40 + i, static_cast<ConfigWord>(i * 7));
+  }
+  b.flip_bit(45, 3);
+  b.flip_bit(45, 3);
+  EXPECT_EQ(a.content_hash(0), b.content_hash(1));
+  EXPECT_EQ(a.content_hash(1), b.content_hash(0));  // both blank
+  EXPECT_NE(a.content_hash(0), a.content_hash(1));
+
+  const std::uint64_t healthy = a.content_hash(0);
+  a.flip_bit(12, 30);
+  EXPECT_NE(a.content_hash(0), healthy);
+  EXPECT_TRUE(a.rewrite(12));  // a scrub restores the healthy hash
+  EXPECT_EQ(a.content_hash(0), healthy);
+
+  a.write(1, 14);  // words 1 and 2 swap values: same multiset, moved
+  a.write(2, 7);
+  EXPECT_NE(a.content_hash(0), healthy);
+  a.write(1, 7);
+  a.write(2, 14);
+  EXPECT_EQ(a.content_hash(0), healthy);
+
+  a.set_stuck_bit(20, 0, true);  // 140 is even: the damage shows at once
+  const std::uint64_t damaged = a.content_hash(0);
+  EXPECT_NE(damaged, healthy);
+  EXPECT_FALSE(a.rewrite(20));  // and no scrub clears it
+  EXPECT_EQ(a.content_hash(0), damaged);
+  a.clear_stuck_bit(20, 0);  // repair leaves the SRAM cell as it is...
+  EXPECT_EQ(a.content_hash(0), damaged);
+  EXPECT_TRUE(a.rewrite(20));  // ...until the next rewrite
+  EXPECT_EQ(a.content_hash(0), healthy);
+}
+
+TEST(ConfigMemory, EccCorrectionRestoresTheContentHash) {
+  const FabricGeometry g = make_geometry(2);
+  ConfigMemory mem(g.total_words(),
+                   g.slots_per_array() * g.words_per_slot());
+  for (std::size_t i = 0; i < mem.size(); ++i) {
+    mem.write(i, static_cast<ConfigWord>(i * 0x9E3779B9u));
+  }
+  FrameEcc ecc(g);
+  ecc.resync_all(mem);
+  const std::uint64_t healthy = mem.content_hash(1);
+  const std::size_t word = g.slot_word_base({1, 2, 3}) + 5;
+  mem.flip_bit(word, 17);
+  EXPECT_NE(mem.content_hash(1), healthy);
+  const EccFrameCheck check =
+      ecc.check_and_correct_frame(mem, word / g.layout().words_per_frame);
+  EXPECT_EQ(check.status, EccStatus::kCorrectedSingle);
+  EXPECT_EQ(mem.content_hash(1), healthy);
+  EXPECT_EQ(mem.content_hash(1), mem.scan_content_hash(1));
 }
 
 TEST(Bitstream, ReadbackMatchesWrites) {

@@ -298,14 +298,14 @@ TEST_F(ObsTracerTest, ConcurrentSpanRecording) {
 
 TEST(ObsProfile, CollectorAggregatesByPhaseInFirstSeenOrder) {
   obs::ProfileCollector profile;
-  EXPECT_TRUE(profile.empty());
+  EXPECT_TRUE(profile.totals().empty());
   // Names are identity-compared literals; reuse the same pointers.
   static const char* const kCompile = "compile";
   static const char* const kWave = "wave";
   profile.add(kCompile, 100);
   profile.add(kWave, 10);
   profile.add(kWave, 20);
-  EXPECT_FALSE(profile.empty());
+  EXPECT_FALSE(profile.totals().empty());
   const Json json = profile.to_json();
   const auto& phases = json.get("phases")->as_array();
   ASSERT_EQ(phases.size(), 2u);
@@ -326,7 +326,7 @@ TEST(ObsProfile, SpanGuardsFeedTheProfileWithTracerDisarmed) {
     EHW_TRACE_SPAN("profiled_phase");
   }
   // Profile captured the span; the disarmed tracer recorded nothing.
-  EXPECT_FALSE(profile.empty());
+  EXPECT_FALSE(profile.totals().empty());
   EXPECT_EQ(obs::Tracer::global().recorded(), 0u);
   // Outside the scope the guard is back to the free path.
   {

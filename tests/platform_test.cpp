@@ -266,6 +266,89 @@ TEST_F(PlatformFixture, LpdResistsScrub) {
   EXPECT_TRUE(plat.decode_array(2).any_defective());
 }
 
+TEST_F(PlatformFixture, FingerprintMatchesFullScanAfterEveryPath) {
+  // configuration_fingerprint sees the words only through the memory's
+  // running content hash (one block per array), so the hash equal to its
+  // full scan on every array after every path means the fingerprint
+  // equals the one a scan of the words gives.
+  fpga::ConfigMemory& memory = plat.config_memory();
+  Rng rng(21);
+  std::vector<evo::Genotype> genes;
+  for (std::size_t a = 0; a < 3; ++a) {
+    genes.push_back(evo::Genotype::random({4, 4}, rng));
+  }
+  for (int step = 0; step < 400; ++step) {
+    const std::size_t array = rng.below(3);
+    const std::size_t row = rng.below(4);
+    const std::size_t col = rng.below(4);
+    switch (rng.below(6)) {
+      case 0: {
+        // A child a few cells away from what the array holds: the DPR
+        // diff the engine writes.
+        for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+          genes[array].set_function_gene(
+              rng.below(16), static_cast<std::uint8_t>(rng.below(16)));
+        }
+        plat.configure_array(array, genes[array], plat.now());
+        break;
+      }
+      case 1: static_cast<void>(plat.inject_seu(array)); break;
+      case 2: static_cast<void>(plat.inject_lpd(array)); break;
+      case 3: plat.scrub_array(array, plat.now()); break;
+      case 4: plat.inject_pe_fault(array, row, col); break;
+      default: plat.clear_pe_fault(array, row, col); break;
+    }
+    for (std::size_t a = 0; a < 3; ++a) {
+      ASSERT_EQ(memory.content_hash(a), memory.scan_content_hash(a))
+          << "array " << a << " after step " << step;
+    }
+  }
+}
+
+TEST(ConfigurationFingerprint, EqualContentAgreesAndDamageShows) {
+  EvolvablePlatform a(test::small_platform_config(3));
+  EvolvablePlatform b(test::small_platform_config(3));
+  EXPECT_EQ(a.configuration_fingerprint(1), b.configuration_fingerprint(1));
+  Rng rng(5);
+  const evo::Genotype g = evo::Genotype::random({4, 4}, rng);
+  // The same genotype reached through different histories agrees.
+  a.configure_array(1, g);
+  b.configure_array(1, evo::Genotype::random({4, 4}, rng));
+  b.configure_array(1, g);
+  const std::uint64_t healthy = a.configuration_fingerprint(1);
+  EXPECT_EQ(b.configuration_fingerprint(1), healthy);
+  // So does a platform of another size with the same shape.
+  EvolvablePlatform c(test::small_platform_config(2));
+  c.configure_array(1, g);
+  EXPECT_EQ(c.configuration_fingerprint(1), healthy);
+  // Position and register genes count.
+  a.configure_array(2, g);
+  EXPECT_NE(a.configuration_fingerprint(2), healthy);
+  evo::Genotype tapped = g;
+  tapped.set_tap_gene(0, static_cast<std::uint8_t>((g.tap_gene(0) + 1) % 9));
+  b.configure_array(1, tapped);
+  EXPECT_NE(b.configuration_fingerprint(1), healthy);
+  b.configure_array(1, g);
+  EXPECT_EQ(b.configuration_fingerprint(1), healthy);
+
+  // A damaged twin differs. Scrubbing an SEU restores the healthy value;
+  // an LPD survives the scrub.
+  static_cast<void>(b.inject_seu(1));
+  EXPECT_NE(b.configuration_fingerprint(1), healthy);
+  b.scrub_array(1, b.now());
+  EXPECT_EQ(b.configuration_fingerprint(1), healthy);
+  static_cast<void>(b.inject_lpd(1));
+  const std::uint64_t damaged = b.configuration_fingerprint(1);
+  EXPECT_NE(damaged, healthy);
+  b.scrub_array(1, b.now());
+  EXPECT_EQ(b.configuration_fingerprint(1), damaged);
+  // A dummy-PE lock differs until it is cleared.
+  a.inject_pe_fault(1, 0, 0);
+  EXPECT_NE(a.configuration_fingerprint(1), healthy);
+  a.clear_pe_fault(1, 0, 0);
+  EXPECT_EQ(a.configuration_fingerprint(1), healthy);
+}
+
 TEST_F(PlatformFixture, ParallelModeFiltersSameInput) {
   Rng rng(7);
   const evo::Genotype g = evo::Genotype::random({4, 4}, rng);

@@ -324,6 +324,116 @@ TEST(ArrayPool, FitnessMemoWarmReplayHitsAndStaysBitIdentical) {
   EXPECT_EQ(off_pool.memo_stats().hits, 0u);
 }
 
+enum class Damage : std::uint8_t { kNone, kSeu, kLpd };
+
+/// A mission's lease that records every candidate's fitness, so two runs
+/// can be compared candidate by candidate and not only by their
+/// survivors. Unless `damage` is kNone, it also damages the fabric between
+/// waves: before every wave but the first, one of the wave's lanes takes
+/// a fault of that kind.
+class RecordingExecutor final : public platform::WaveExecutor {
+ public:
+  RecordingExecutor(MissionContext& context, std::vector<Fitness>& measured,
+                    Damage damage)
+      : context_(context), measured_(measured), damage_(damage) {}
+
+  [[nodiscard]] platform::EvolvablePlatform& platform() noexcept override {
+    return context_.platform();
+  }
+  [[nodiscard]] const std::vector<std::size_t>& lanes()
+      const noexcept override {
+    return context_.lanes();
+  }
+  platform::WaveOutcome run_wave(const std::vector<evo::Candidate>& offspring,
+                                 const std::vector<std::size_t>& wave_lanes,
+                                 const img::Image& input,
+                                 const img::Image& compare,
+                                 sim::SimTime barrier) override {
+    if (damage_ != Damage::kNone && waves_ > 0) {
+      const std::size_t lane = wave_lanes[waves_ % wave_lanes.size()];
+      if (damage_ == Damage::kSeu) {
+        static_cast<void>(platform().inject_seu(lane));
+      } else {
+        static_cast<void>(platform().inject_lpd(lane));
+      }
+    }
+    ++waves_;
+    platform::WaveOutcome outcome =
+        context_.run_wave(offspring, wave_lanes, input, compare, barrier);
+    measured_.insert(measured_.end(), outcome.fitness.begin(),
+                     outcome.fitness.end());
+    return outcome;
+  }
+
+ private:
+  MissionContext& context_;
+  std::vector<Fitness>& measured_;
+  const Damage damage_;
+  std::size_t waves_ = 0;
+};
+
+ArrayPool::JobBody recording_body(const MissionSpec& spec,
+                                  std::vector<Fitness>& measured,
+                                  Damage damage) {
+  return [spec, &measured, damage](MissionContext& context,
+                                   JobOutcome& outcome) {
+    RecordingExecutor executor(context, measured, damage);
+    run_spec(executor, spec, outcome);
+  };
+}
+
+TEST(ArrayPool, FitnessMemoOnDamagedFabricStaysBitIdentical) {
+  // The memo and compiled-cache keys carry the configuration fingerprint,
+  // so a fault that the fingerprint missed would be answered with the
+  // healthy fabric's fitness. A healthy run warms both first: its
+  // candidates are the damaged run's up to the first fault, and the
+  // memo holds every one of them.
+  MissionSpec spec;
+  spec.kind = MissionKind::kDenoise;
+  spec.name = "damaged";
+  spec.lanes = 2;
+  spec.size = 16;
+  spec.generations = 20;
+  spec.seed = 33;
+
+  for (const Damage damage : {Damage::kSeu, Damage::kLpd}) {
+    SCOPED_TRACE(damage == Damage::kSeu ? "SEU" : "LPD");
+    PoolConfig with_memo;
+    with_memo.num_arrays = 2;
+    with_memo.max_concurrent_jobs = 1;
+    ArrayPool pool(with_memo);
+    std::vector<Fitness> unharmed;
+    std::vector<Fitness> memo_on;
+    const auto healthy = pool.submit(
+        make_job_config(spec), recording_body(spec, unharmed, Damage::kNone));
+    const auto damaged = pool.submit(make_job_config(spec),
+                                     recording_body(spec, memo_on, damage));
+    pool.wait_all();
+
+    // Reference: memo and cache off, so every candidate is compiled from
+    // its fabric and measured.
+    PoolConfig no_memo = with_memo;
+    no_memo.fitness_memo_capacity = 0;
+    no_memo.cache_capacity = 0;
+    ArrayPool off_pool(no_memo);
+    std::vector<Fitness> memo_off;
+    const auto reference = off_pool.submit(
+        make_job_config(spec), recording_body(spec, memo_off, damage));
+    off_pool.wait_all();
+
+    ASSERT_EQ(healthy->status(), JobStatus::kDone);
+    ASSERT_EQ(damaged->status(), JobStatus::kDone) << damaged->result().error;
+    ASSERT_EQ(reference->status(), JobStatus::kDone)
+        << reference->result().error;
+    EXPECT_EQ(memo_on, memo_off);
+    expect_same_outcome(damaged->result(), reference->result());
+    // The memo did answer (the first wave, before any fault), and the
+    // faults changed what the fabric computes.
+    EXPECT_GT(damaged->result().stats.memo_hits, 0u);
+    EXPECT_NE(memo_off, unharmed);
+  }
+}
+
 TEST(ArrayPool, ConcurrentIdenticalMissionsShareMemoBitIdentically) {
   // Several copies of one mission racing on a shared memo: every result
   // must equal the memo-off standalone run no matter which mission
@@ -451,7 +561,10 @@ TEST(ArrayPool, QuickStatsMatchPoolStatsOnceQuiet) {
   spec.size = 16;
   spec.generations = 10;
   for (std::uint64_t j = 0; j < 3; ++j) {
-    spec.name = "q" + std::to_string(j);
+    // snprintf: gcc 12 -Wrestrict false positive on const char* + string&&.
+    char name[8];
+    std::snprintf(name, sizeof name, "q%d", static_cast<int>(j));
+    spec.name = name;
     spec.scene_seed = 3 + j;
     static_cast<void>(pool.submit(make_job_config(spec), make_job_body(spec)));
   }
@@ -484,7 +597,7 @@ TEST(ArrayPool, WarmStateIsTheMemoOnly) {
     pool.wait_all();
     exported = pool.export_warm_state();
   }
-  EXPECT_EQ(exported.get_string("format", "?"), "mpa-warm-v1");
+  EXPECT_EQ(exported.get_string("format", "?"), "mpa-warm-v2");
   ASSERT_NE(exported.get("memo"), nullptr);
   EXPECT_EQ(exported.get("cache"), nullptr);
 
@@ -499,6 +612,10 @@ TEST(ArrayPool, WarmStateIsTheMemoOnly) {
   other.set("format", "mpa-warm-group-v1");
   other.set("pools", std::move(pools));
   EXPECT_EQ(ArrayPool(config).import_warm_state(other).memo_loaded, 0u);
+  // So does the previous single-pool tag, whose keys no longer hit.
+  Json v1 = exported;
+  v1.set("format", "mpa-warm-v1");
+  EXPECT_EQ(ArrayPool(config).import_warm_state(v1).memo_loaded, 0u);
 }
 
 TEST(Manifest, ParsesKindsAndRejectsMalformedLines) {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -272,6 +273,33 @@ TEST(SvcServer, SubmitWatchResultBitIdenticalToStandalone) {
   EXPECT_EQ(status_response.get_string("status", "?"), "done");
   EXPECT_EQ(status_response.get_string("sim_ns", "?"),
             result.get_string("sim_ns", "!"));
+  server.stop();
+}
+
+TEST(SvcServer, ResultCarriesThePhaseProfile) {
+  ServerConfig config;
+  config.pool.num_arrays = 2;
+  Server server(config);
+  Client client(server.port());
+  const Client::Submitted submitted = client.submit(
+      quick_spec(sched::MissionKind::kDenoise, "profiled", 2, 12, 3));
+  ASSERT_TRUE(submitted.ok) << submitted.error;
+  const Json result = client.result(submitted.job);
+  ASSERT_TRUE(result.get_bool("ok", false));
+  ASSERT_NE(result.get("profile"), nullptr);
+  const Json* phases = result.get("profile")->get("phases");
+  ASSERT_NE(phases, nullptr);
+  std::map<std::string, double> counts;
+  for (const Json& phase : phases->as_array()) {
+    counts[phase.get_string("phase", "?")] += phase.get_number("count", 0);
+    std::uint64_t total_ns = 0;
+    EXPECT_TRUE(json_read_u64(phase.get("total_ns"), total_ns));
+  }
+  // Every cache miss compiles once; every wave is one span.
+  EXPECT_GT(result.get_number("cache_misses", 0), 0.0);
+  EXPECT_EQ(counts["compile"], result.get_number("cache_misses", -1));
+  EXPECT_EQ(counts["wave"], result.get_number("waves", -1));
+  EXPECT_EQ(counts["wave"], 12.0);
   server.stop();
 }
 
