@@ -122,6 +122,8 @@ Client::BatchSubmitted Client::submit_batch(
   if (!submitted.ok) {
     submitted.error = response.get_string("error", "unknown error");
     submitted.code = response.get_string("code", "");
+    submitted.retry_after_ms =
+        static_cast<std::uint64_t>(response.get_number("retry_after_ms", 0));
     return submitted;
   }
   const Json* jobs = response.get("jobs");

@@ -90,6 +90,8 @@ class Client {
     std::vector<std::uint64_t> jobs;  // spec order; empty when !ok
     std::string error;
     std::string code;
+    /// Backpressure hint on a queue_full rejection (0 = none given).
+    std::uint64_t retry_after_ms = 0;
   };
   [[nodiscard]] BatchSubmitted submit_batch(
       const std::vector<sched::MissionSpec>& specs);

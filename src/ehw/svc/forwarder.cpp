@@ -593,27 +593,80 @@ Json Forwarder::handle_submit(const Json& request) {
   if (spec_field == nullptr) {
     return make_error("submit needs a 'spec' object", "bad_request");
   }
-  sched::MissionSpec spec;
-  const std::string spec_error = spec_from_json(*spec_field, spec);
+  std::vector<sched::MissionSpec> specs(1);
+  const std::string spec_error = spec_from_json(*spec_field, specs[0]);
   if (!spec_error.empty()) return make_error(spec_error, "bad_spec");
+  std::vector<Admitted> admitted;
+  if (std::optional<Json> refusal = admit(specs, admitted)) return *refusal;
+  Json response = make_ok();
+  response.set("job", admitted[0].job);
+  response.set("name", specs[0].name);
+  response.set("backend", static_cast<std::uint64_t>(admitted[0].backend));
+  if (admitted[0].affinity) response.set("affinity", true);
+  return response;
+}
 
-  sched::PlacementPolicy::Decision decision;
+Json Forwarder::handle_submit_batch(const Json& request) {
+  std::vector<sched::MissionSpec> specs;
+  const std::string parse_error = batch_specs_from_json(request, specs);
+  if (!parse_error.empty()) return make_error(parse_error, "bad_spec");
+  std::vector<Admitted> admitted;
+  if (std::optional<Json> refusal = admit(specs, admitted)) return *refusal;
+  Json jobs = Json::array();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    Json entry = Json::object();
+    entry.set("job", admitted[i].job);
+    entry.set("name", specs[i].name);
+    entry.set("backend", static_cast<std::uint64_t>(admitted[i].backend));
+    jobs.push_back(std::move(entry));
+  }
+  Json response = make_ok();
+  response.set("jobs", std::move(jobs));
+  return response;
+}
+
+std::optional<Json> Forwarder::admit(
+    const std::vector<sched::MissionSpec>& specs,
+    std::vector<Admitted>& admitted) {
+  const std::size_t incoming = specs.size();
+  if (draining_.load(std::memory_order_relaxed)) {
+    m_rejected_.add(incoming);
+    return make_error("cluster is draining; not accepting new missions",
+                      "draining");
+  }
+  std::vector<sched::PlacementPolicy::Decision> decisions(incoming);
   {
     std::lock_guard lock(state_mutex_);
-    if (draining_.load(std::memory_order_relaxed)) {
-      m_rejected_.add();
-      return make_error("cluster is draining; not accepting new missions",
-                        "draining");
+    const std::vector<sched::PlacementTarget> targets =
+        target_snapshot_locked();
+    std::size_t widest = 0;  // the largest pool among reachable members
+    for (const sched::PlacementTarget& target : targets) {
+      if (target.reachable) widest = std::max(widest, target.total_arrays);
     }
-    // Brownout shed: when every backend is saturated or cold, placing a
-    // default-priority mission would only bury it in someone's queue.
-    // Shed it with explicit backpressure instead; missions submitted
-    // with priority > 0 ride through and queue.
-    if (spec.priority <= 0 &&
-        sched::PlacementPolicy::saturated(target_snapshot_locked(),
-                                          spec.lanes)) {
-      m_rejected_.add();
-      m_shed_.add();
+    std::size_t narrowest = specs[0].lanes;
+    bool low_priority = true;
+    for (const sched::MissionSpec& spec : specs) {
+      // Wider than every member's pool: a spec error, as on a daemon
+      // (no wait makes it fit, so it is neither shed nor queued).
+      if (widest != 0 && spec.lanes > widest) {
+        m_rejected_.add(incoming);
+        return make_error("lanes=" + std::to_string(spec.lanes) + " of '" +
+                              spec.name + "' exceeds every backend's pool (" +
+                              std::to_string(widest) + " arrays at most)",
+                          "bad_spec");
+      }
+      narrowest = std::min(narrowest, spec.lanes);
+      low_priority = low_priority && spec.priority <= 0;
+    }
+    // Brownout shed: when every backend is saturated or cold, placing
+    // default-priority missions would only bury them in someone's queue.
+    // Shed them with explicit backpressure instead; a spec with priority
+    // > 0 rides through and queues. Admission is atomic, so a batch is
+    // shed whole, judged by its narrowest spec.
+    if (low_priority &&
+        sched::PlacementPolicy::saturated(targets, narrowest)) {
+      m_rejected_.add(incoming);
+      m_shed_.add(incoming);
       Json response = make_error(
           "cluster saturated: every backend is full or down; low-priority "
           "submit shed",
@@ -622,179 +675,90 @@ Json Forwarder::handle_submit(const Json& request) {
       response.set("retry_after_ms", shed_retry_after_ms_locked());
       return response;
     }
-    decision = place_locked(spec);
-    if (!decision.ok) {
-      m_rejected_.add();
-      return make_error("no backend can take the mission: " + decision.error,
-                        "no_backend");
-    }
-  }
-  // Southbound submit OUTSIDE the lock (network IO).
-  Client::Submitted submitted;
-  try {
-    submitted = southbound(
-        decision.target, [&](Client& client) { return client.submit(spec); },
-        {spec.name});
-  } catch (const std::exception& e) {
-    m_rejected_.add();
-    return make_error("backend " + std::to_string(decision.target) +
-                          " unreachable: " + e.what(),
-                      "no_backend");
-  }
-  if (!submitted.ok) {
-    m_rejected_.add();
-    Json response = make_error(submitted.error, submitted.code);
-    return response;
-  }
-  auto route = std::make_shared<Route>();
-  route->spec = spec;
-  route->backend = decision.target;
-  route->backend_job = submitted.job;
-  Json response = make_ok();
-  {
-    std::lock_guard lock(state_mutex_);
-    route->id = next_id_++;
-    route->placed_epoch = backends_[decision.target].epoch;
-    routes_.emplace(route->id, route);
-    prune_finished_locked();
-    response.set("job", route->id);
-  }
-  m_submitted_.add();
-  response.set("name", spec.name);
-  response.set("backend", static_cast<std::uint64_t>(decision.target));
-  if (decision.affinity_hit) response.set("affinity", true);
-  return response;
-}
-
-Json Forwarder::handle_submit_batch(const Json& request) {
-  std::vector<sched::MissionSpec> specs;
-  const std::string parse_error = batch_specs_from_json(request, specs);
-  if (!parse_error.empty()) return make_error(parse_error, "bad_spec");
-  if (draining_.load(std::memory_order_relaxed)) {
-    m_rejected_.add(specs.size());
-    return make_error("cluster is draining; not accepting new missions",
-                      "draining");
-  }
-  // Cluster batches are placed per-spec and submitted per-backend.
-  // Admission is atomic WITHIN each backend but not across the cluster:
-  // on a partial failure the already-accepted specs are best-effort
-  // cancelled and the batch reports the failure.
-  std::vector<std::size_t> placement(specs.size());
-  {
-    std::lock_guard lock(state_mutex_);
-    // Batch brownout mirrors the single-submit shed: a batch with no
-    // priority>0 spec is refused wholesale when the cluster is saturated
-    // (admission is atomic — shedding part of a batch would be worse
-    // than either outcome).
-    const bool all_low =
-        std::all_of(specs.begin(), specs.end(),
-                    [](const sched::MissionSpec& spec) {
-                      return spec.priority <= 0;
-                    });
-    if (all_low &&
-        sched::PlacementPolicy::saturated(target_snapshot_locked(), 1)) {
-      m_rejected_.add(specs.size());
-      m_shed_.add(specs.size());
-      Json response = make_error(
-          "cluster saturated: every backend is full or down; low-priority "
-          "batch shed",
-          "queue_full");
-      response.set("shed", true);
-      response.set("retry_after_ms", shed_retry_after_ms_locked());
-      return response;
-    }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const sched::PlacementPolicy::Decision decision =
-          place_locked(specs[i]);
-      if (!decision.ok) {
-        m_rejected_.add(specs.size());
-        return make_error("spec " + std::to_string(i) +
-                              ": no backend can take the mission: " +
-                              decision.error,
+    for (std::size_t i = 0; i < incoming; ++i) {
+      decisions[i] = place_locked(specs[i]);
+      if (!decisions[i].ok) {
+        m_rejected_.add(incoming);
+        return make_error("no backend can take '" + specs[i].name +
+                              "': " + decisions[i].error,
                           "no_backend");
       }
-      placement[i] = decision.target;
     }
   }
-  // Group by backend, preserving spec order within each group.
+  // Southbound OUTSIDE the lock (network IO): one submit_batch per
+  // backend, spec order kept within each. Admission is atomic within a
+  // backend but not across the cluster: on a refusal the specs other
+  // backends accepted are cancelled best-effort, and the refusal is
+  // relayed as the backend gave it (its retry_after_ms included).
   std::map<std::size_t, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    groups[placement[i]].push_back(i);
+  for (std::size_t i = 0; i < incoming; ++i) {
+    groups[decisions[i].target].push_back(i);
   }
-  struct Accepted {
-    std::size_t backend = 0;
-    std::uint64_t backend_job = 0;
-  };
-  std::vector<std::optional<Accepted>> accepted(specs.size());
-  std::string error;
-  std::string code;
+  std::vector<std::uint64_t> backend_jobs(incoming);
+  std::vector<std::pair<std::size_t, std::uint64_t>> accepted;
+  std::optional<Json> refusal;
   for (const auto& [backend, indices] : groups) {
-    std::vector<sched::MissionSpec> group_specs;
-    std::vector<std::string> group_names;
-    group_specs.reserve(indices.size());
+    std::vector<sched::MissionSpec> group;
+    std::vector<std::string> names;
     for (const std::size_t i : indices) {
-      group_specs.push_back(specs[i]);
-      group_names.push_back(specs[i].name);
+      group.push_back(specs[i]);
+      names.push_back(specs[i].name);
     }
     Client::BatchSubmitted batch;
     try {
       batch = southbound(
-          backend,
-          [&](Client& client) { return client.submit_batch(group_specs); },
-          group_names);
+          backend, [&](Client& client) { return client.submit_batch(group); },
+          names);
     } catch (const std::exception& e) {
-      batch.ok = false;
-      batch.error =
-          "backend " + std::to_string(backend) + " unreachable: " + e.what();
-      batch.code = "no_backend";
+      refusal = make_error("backend " + std::to_string(backend) +
+                               " unreachable: " + e.what(),
+                           "no_backend");
+      break;
     }
     if (!batch.ok) {
-      error = batch.error;
-      code = batch.code.empty() ? "no_backend" : batch.code;
+      refusal = make_error(batch.error, batch.code);
+      if (batch.retry_after_ms != 0) {
+        refusal->set("rejected", batch.code);
+        refusal->set("retry_after_ms", batch.retry_after_ms);
+      }
       break;
     }
     for (std::size_t k = 0; k < indices.size(); ++k) {
-      accepted[indices[k]] = Accepted{backend, batch.jobs[k]};
+      backend_jobs[indices[k]] = batch.jobs[k];
+      accepted.emplace_back(backend, batch.jobs[k]);
     }
   }
-  if (!error.empty()) {
-    // Unwind what landed: cancel accepted missions on their backends.
-    for (const std::optional<Accepted>& entry : accepted) {
-      if (!entry.has_value()) continue;
+  if (refusal.has_value()) {
+    for (const auto& [backend, backend_job] : accepted) {
       try {
-        static_cast<void>(southbound(entry->backend, [&](Client& client) {
-          return client.cancel(entry->backend_job);
+        static_cast<void>(southbound(backend, [&](Client& client) {
+          return client.cancel(backend_job);
         }));
       } catch (const std::exception&) {
         // The cancel is advisory; the mission just runs to completion.
       }
     }
-    m_rejected_.add(specs.size());
-    return make_error(error, code);
+    m_rejected_.add(incoming);
+    return refusal;
   }
-  Json jobs = Json::array();
+  admitted.clear();
   {
     std::lock_guard lock(state_mutex_);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (std::size_t i = 0; i < incoming; ++i) {
       auto route = std::make_shared<Route>();
       route->id = next_id_++;
       route->spec = specs[i];
-      route->backend = accepted[i]->backend;
-      route->backend_job = accepted[i]->backend_job;
-      route->placed_epoch = backends_[accepted[i]->backend].epoch;
+      route->backend = decisions[i].target;
+      route->backend_job = backend_jobs[i];
+      route->placed_epoch = backends_[route->backend].epoch;
       routes_.emplace(route->id, route);
-      m_submitted_.add();
-      Json entry = Json::object();
-      entry.set("job", route->id);
-      entry.set("name", specs[i].name);
-      entry.set("backend", static_cast<std::uint64_t>(accepted[i]->backend));
-      jobs.push_back(std::move(entry));
+      admitted.push_back(
+          Admitted{route->id, route->backend, decisions[i].affinity_hit});
     }
     prune_finished_locked();
   }
-  Json response = make_ok();
-  response.set("jobs", std::move(jobs));
-  return response;
+  m_submitted_.add(incoming);
+  return std::nullopt;
 }
 
 std::shared_ptr<Forwarder::Route> Forwarder::find_route(

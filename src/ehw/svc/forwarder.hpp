@@ -12,6 +12,15 @@
 // Placement is a speed decision only — every backend computes
 // bit-identical results for the same spec.
 //
+// Admission: `submit` (a one-spec batch) and `submit_batch` go through
+// one function (admit) with one brownout rule, judged by the narrowest
+// spec, and every admission travels southbound as submit_batch, one per
+// backend it lands on. A backend's refusal comes back to the client as
+// the backend gave it, retry_after_ms included, so with_retry waits out
+// a daemon's queue_full through a front too. Failover resubmits stay
+// `submit` + "resume": they re-place an existing route, they admit
+// nothing new.
+//
 // Liveness and failover: a backend that misses `down_after` consecutive
 // polls is declared down. Its placement affinities are dropped (the warm
 // state died with it) and every unfinished mission routed there fails
@@ -30,8 +39,8 @@
 // migration.
 //
 // Southbound connections are pooled: every request/response exchange
-// with a backend (submit, submit_batch, status, cancel, health, drain,
-// list rows, failover resubmits, result and watch waits) leases an idle
+// with a backend (admissions, status, cancel, health, drain, list rows,
+// failover resubmits, result and watch waits) leases an idle
 // ClientPool connection and hands it back once the exchange completed,
 // so a busy front connects and handshakes once per connection instead
 // of once per op. Polls and fence cancels keep a fresh connection each:
@@ -247,8 +256,26 @@ class Forwarder {
   [[nodiscard]] std::optional<Json> handle_request(
       const std::string& op, const Json& request,
       const std::shared_ptr<LineChannel>& channel);
+  /// One admitted spec: its front id, its backend, and whether placement
+  /// hit the backend already warm for its fingerprint.
+  struct Admitted {
+    std::uint64_t job = 0;
+    std::size_t backend = 0;
+    bool affinity = false;
+  };
+  /// `submit` (one spec) and `submit_batch` parse and frame their
+  /// replies; admit() does the rest.
   [[nodiscard]] Json handle_submit(const Json& request);
   [[nodiscard]] Json handle_submit_batch(const Json& request);
+  /// The one way in: refuses specs wider than every member's pool
+  /// (bad_spec), sheds a low-priority admission on a saturated cluster
+  /// (judged by its narrowest spec), places every spec, sends each
+  /// backend its share as one submit_batch and records the routes.
+  /// nullopt once every spec is admitted (`admitted` in spec order),
+  /// else the refusal reply — a backend's relayed as it gave it.
+  [[nodiscard]] std::optional<Json> admit(
+      const std::vector<sched::MissionSpec>& specs,
+      std::vector<Admitted>& admitted);
   [[nodiscard]] Json handle_status(const Json& request);
   [[nodiscard]] Json handle_result(const Json& request);
   [[nodiscard]] Json handle_cancel(const Json& request);

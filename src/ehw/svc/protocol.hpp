@@ -13,7 +13,9 @@
 // {"ok":false,"error":<message>,"code":<machine tag>}. Codes the client
 // can dispatch on: "queue_full" (admission control), "draining" (drain
 // was requested), "bad_spec", "unknown_job", "bad_request",
-// "unsupported_protocol".
+// "unsupported_protocol". Every "queue_full" carries "retry_after_ms",
+// the ms to wait before trying again — a daemon's refusal keeps it when
+// a front relays it, and a front's own brownout shed sets it too.
 //
 // Ops (svc::Server and svc::Forwarder alike; the handshake and the
 // session layer are svc::Frontend's): hello, submit, submit_batch,
@@ -40,8 +42,14 @@
 // each spec then overrides per-mission options and must end up with a
 // kind and a batch-unique name. Admission is atomic: either every spec
 // is accepted ({"ok":true,"jobs":[{"job":id,"name":...},...]} in spec
-// order) or the whole batch is rejected (one bad spec names its index;
+// order) or the whole batch is rejected (a bad spec is named;
 // "queue_full" when the batch doesn't fit the inflight cap).
+//
+// submit is a one-spec submit_batch: both ops admit through the same
+// function, so the same spec gets the same answer and the same refusal
+// code either way. Only the parsing (one "spec", plus the optional
+// "resume" state a failover carries) and the flat reply
+// {"ok":true,"job":id,"name":...} are its own.
 
 #include <cstdint>
 #include <iterator>

@@ -44,6 +44,37 @@ std::optional<std::uint64_t> record_id(const Json& record, const char* key) {
   return static_cast<std::uint64_t>(value);
 }
 
+/// The frame that ends a watch stream.
+std::string done_frame(std::uint64_t job, const std::string& status,
+                       std::uint64_t waves) {
+  Json frame = Json::object();
+  frame.set("event", "done");
+  frame.set("job", job);
+  frame.set("status", status);
+  frame.set("waves", waves);
+  return frame.dump();
+}
+
+/// A watch subscription's runner observer: progress frames only (the
+/// done frame is finish_job's, sent once the answer is committed).
+sched::MissionRunner::EventCallback progress_frames(
+    std::uint64_t job, std::uint64_t every,
+    std::shared_ptr<LineChannel> channel) {
+  return [job, every, channel = std::move(channel)](
+             const sched::MissionEvent& event) {
+    if (event.kind != sched::MissionEvent::Kind::kProgress ||
+        event.waves % every != 0) {
+      return;
+    }
+    Json frame = Json::object();
+    frame.set("event", "progress");
+    frame.set("job", job);
+    frame.set("waves", event.waves);
+    // Dead channels fail silently; the subscription just goes quiet.
+    static_cast<void>(channel->write_line(frame.dump()));
+  };
+}
+
 }  // namespace
 
 Server::Server(ServerConfig config)
@@ -197,36 +228,29 @@ void Server::replay_journal() {
     auto record = std::make_shared<JobRecord>();
     record->id = id;
     record->spec = job.spec;
-    if (job.finished) {
-      record->journaled = std::move(job.result);
-      record->journal_status =
-          job.status.empty() ? std::string("failed") : job.status;
-      record->journal_waves = job.waves;
-      record->replayed_from_journal = true;
-      ++replayed_finished_;
-      std::lock_guard lock(state_mutex_);
-      jobs_.emplace(id, std::move(record));
-      continue;
-    }
     // Unfinished across the crash: lane demand is re-validated against
-    // THIS pool (a restart may have shrunk it).
-    if (record->spec.lanes > config_.pool.num_arrays) {
-      Json body = Json::object();
-      body.set("status", status_name(sched::JobStatus::kFailed));
-      body.set("error",
-               "recovery: lanes=" + std::to_string(record->spec.lanes) +
-                   " exceeds the pool's " +
-                   std::to_string(config_.pool.num_arrays) + " arrays");
-      Json rec = Json::object();
-      rec.set("rec", "finished");
-      rec.set("job", id);
-      rec.set("status", status_name(sched::JobStatus::kFailed));
-      rec.set("waves", static_cast<std::uint64_t>(0));
-      rec.set("result", body);
-      static_cast<void>(journal_->append(rec));
-      record->journaled = std::move(body);
-      record->journal_status = status_name(sched::JobStatus::kFailed);
-      record->replayed_from_journal = true;
+    // THIS pool (a restart may have shrunk it). The verdict is journaled,
+    // so it survives the NEXT restart too.
+    const bool too_wide =
+        !job.finished && record->spec.lanes > config_.pool.num_arrays;
+    if (job.finished || too_wide) {
+      if (too_wide) {
+        job.status = status_name(sched::JobStatus::kFailed);
+        job.result = Json::object();
+        job.result.set("status", job.status);
+        job.result.set(
+            "error", "recovery: lanes=" + std::to_string(record->spec.lanes) +
+                         " exceeds the pool's " +
+                         std::to_string(config_.pool.num_arrays) + " arrays");
+      }
+      if (job.status.empty()) job.status = "failed";
+      if (!job.result.is_object()) job.result = Json::object();
+      if (job.result.get("status") == nullptr) {
+        job.result.set("status", job.status);
+      }
+      record->replayed = true;
+      finish_job(record, job.status, job.waves, job.result,
+                 /*commit=*/too_wide);
       ++replayed_finished_;
       std::lock_guard lock(state_mutex_);
       jobs_.emplace(id, std::move(record));
@@ -356,75 +380,112 @@ std::optional<Json> Server::handle_request(
 }
 
 Json Server::handle_submit(const Json& request) {
-  EHW_TRACE_SPAN("submit");
-  const std::uint64_t admit_start_ns = obs::Tracer::now_ns();
   const Json* spec_field = request.get("spec");
   if (spec_field == nullptr) {
     return make_error("submit needs a 'spec' object", "bad_request");
   }
-  sched::MissionSpec spec;
-  const std::string spec_error = spec_from_json(*spec_field, spec);
+  auto record = std::make_shared<JobRecord>();
+  const std::string spec_error = spec_from_json(*spec_field, record->spec);
   if (!spec_error.empty()) return make_error(spec_error, "bad_spec");
-  if (spec.lanes > config_.pool.num_arrays) {
-    return make_error("lanes=" + std::to_string(spec.lanes) +
-                          " exceeds the pool's " +
-                          std::to_string(config_.pool.num_arrays) + " arrays",
-                      "bad_spec");
-  }
   // Optional resume state (protocol v1, additive): a checkpoint emitted
   // by a previous incarnation of this mission — how the forwarder fails
   // a half-run mission over to a surviving backend without losing its
   // generations. Malformed state rejects the submit; silently starting
   // from scratch would hide the data loss.
-  std::shared_ptr<platform::MissionCheckpoint> resume;
   if (const Json* resume_field = request.get("resume")) {
-    resume = std::make_shared<platform::MissionCheckpoint>();
+    auto resume = std::make_shared<platform::MissionCheckpoint>();
     const std::string resume_error =
         platform::mission_checkpoint_from_json(*resume_field, *resume);
     if (!resume_error.empty()) {
       return make_error("bad resume checkpoint: " + resume_error,
                         "bad_request");
     }
+    record->resume = std::move(resume);
   }
-  auto record = std::make_shared<JobRecord>();
-  record->spec = spec;
-  record->resume = std::move(resume);
+  if (std::optional<Json> refusal = admit({record})) return *refusal;
+  Json response = make_ok();
+  response.set("job", record->id);
+  response.set("name", record->spec.name);
+  return response;
+}
+
+Json Server::handle_submit_batch(const Json& request) {
+  std::vector<sched::MissionSpec> specs;
+  const std::string parse_error = batch_specs_from_json(request, specs);
+  if (!parse_error.empty()) return make_error(parse_error, "bad_spec");
+  std::vector<std::shared_ptr<JobRecord>> records;
+  records.reserve(specs.size());
+  for (sched::MissionSpec& spec : specs) {
+    records.push_back(std::make_shared<JobRecord>());
+    records.back()->spec = std::move(spec);
+  }
+  if (std::optional<Json> refusal = admit(records)) return *refusal;
+  Json jobs = Json::array();
+  for (const std::shared_ptr<JobRecord>& record : records) {
+    Json entry = Json::object();
+    entry.set("job", record->id);
+    entry.set("name", record->spec.name);
+    jobs.push_back(std::move(entry));
+  }
+  Json response = make_ok();
+  response.set("jobs", std::move(jobs));
+  return response;
+}
+
+std::optional<Json> Server::admit(
+    const std::vector<std::shared_ptr<JobRecord>>& records) {
+  EHW_TRACE_SPAN("submit");
+  const std::uint64_t admit_start_ns = obs::Tracer::now_ns();
+  for (const std::shared_ptr<JobRecord>& record : records) {
+    if (record->spec.lanes > config_.pool.num_arrays) {
+      return make_error("lanes=" + std::to_string(record->spec.lanes) +
+                            " of '" + record->spec.name +
+                            "' exceeds the pool's " +
+                            std::to_string(config_.pool.num_arrays) +
+                            " arrays",
+                        "bad_spec");
+    }
+  }
+  // Atomic admission: the specs reserve all their inflight slots or
+  // none, so a swarm client never has to unpick a half-accepted manifest.
+  const std::size_t incoming = records.size();
   {
     std::lock_guard lock(state_mutex_);
     if (draining_.load(std::memory_order_relaxed)) {
-      m_rejected_.add();
+      m_rejected_.add(incoming);
       return make_error("service is draining; not accepting new missions",
                         "draining");
     }
-    if (inflight_ >= max_inflight_) {
-      m_rejected_.add();
+    if (inflight_ + incoming > max_inflight_) {
+      m_rejected_.add(incoming);
       Json response = make_error(
-          "rejected: " + std::to_string(inflight_) +
-              " missions in flight (cap " + std::to_string(max_inflight_) +
-              ")",
+          "rejected: " + std::to_string(incoming) +
+              " mission(s) do not fit (" + std::to_string(inflight_) +
+              " in flight, cap " + std::to_string(max_inflight_) + ")",
           "queue_full");
       response.set("rejected", "queue_full");
-      response.set("retry_after_ms", retry_after_ms_locked(1));
+      response.set("retry_after_ms", retry_after_ms_locked(incoming));
       return response;
     }
-    ++inflight_;
+    inflight_ += incoming;
     m_inflight_.set(static_cast<double>(inflight_));
-    record->id = next_job_id_++;
+    for (const std::shared_ptr<JobRecord>& record : records) {
+      record->id = next_job_id_++;
+      record->submitted_ns = admit_start_ns;
+    }
   }
-  m_submitted_.add();
-  record->submitted_ns = admit_start_ns;
-  // Write-ahead: the "submitted" record lands before the launch (and
-  // before the ack), so a crash anywhere after this line still
-  // resubmits the mission on restart.
-  journal_submitted(*record);
-  launch_job(record);
-  Json response = make_ok();
-  response.set("job", record->id);
-  response.set("name", spec.name);
-  // Admission-to-ack latency: spec validation + write-ahead journal +
-  // pool submission. The ack write itself is the session loop's.
+  m_submitted_.add(incoming);
+  for (const std::shared_ptr<JobRecord>& record : records) {
+    // Write-ahead: the "submitted" record lands before the launch (and
+    // before the ack), so a crash anywhere after this line still
+    // resubmits the mission on restart.
+    journal_submitted(*record);
+    launch_job(record);
+  }
+  // Admission-to-ack latency: lane check + write-ahead journal + pool
+  // submission. The ack write itself is the session loop's.
   m_submit_latency_.record(obs::Tracer::now_ns() - admit_start_ns);
-  return response;
+  return std::nullopt;
 }
 
 void Server::launch_job(const std::shared_ptr<JobRecord>& record) {
@@ -471,7 +532,7 @@ void Server::launch_job(const std::shared_ptr<JobRecord>& record) {
   // observer, which locks state_mutex_ on this thread.
   const std::shared_ptr<sched::MissionRunner> runner = pool_.submit(
       config, sched::make_job_body(record->spec, checkpointing));
-  std::vector<std::function<void(const sched::MissionEvent&)>> watchers;
+  std::vector<Watcher> watchers;
   {
     std::lock_guard lock(state_mutex_);
     record->runner = runner;
@@ -479,8 +540,6 @@ void Server::launch_job(const std::shared_ptr<JobRecord>& record) {
     prune_finished_locked();
     watchers = record->watchers;
   }
-  // Result waiters poll record->runner; a migration just swapped it.
-  state_cv_.notify_all();
   // The pool's own record of finished jobs (body closure, outcome
   // reference) is redundant once the service holds the runner — reap it
   // so daemon memory stays bounded over long uptimes.
@@ -496,37 +555,61 @@ void Server::launch_job(const std::shared_ptr<JobRecord>& record) {
       migrate_job(record);
       return;
     }
-    if (journal_ != nullptr) {
-      // Safe here: MissionRunner::finish stores the outcome before it
-      // fires kFinished observers. This append is the commit point —
-      // after it, replay re-serves the result instead of re-running.
-      const sched::JobOutcome& outcome = runner->result();
-      Json rec = Json::object();
-      rec.set("rec", "finished");
-      rec.set("job", record->id);
-      rec.set("status", status_name(event.status));
-      rec.set("waves", event.waves);
-      rec.set("result",
-              outcome_to_json(record->spec.kind, event.status, outcome));
-      static_cast<void>(journal_->append(rec));
-      static_cast<void>(remove_file(journal_->checkpoint_path(record->id)));
-    }
     // Wall time covers admission to terminal finish (across migrations:
     // the stamp survives relaunches); sim time is the mission's own
-    // platform makespan. Safe to read here — finish() stored it already.
-    if (record->submitted_ns != 0) {
-      m_mission_wall_.record(obs::Tracer::now_ns() - record->submitted_ns);
-    }
+    // platform makespan. MissionRunner::finish stores the outcome before
+    // it fires kFinished observers, so both are safe to read here.
+    m_mission_wall_.record(obs::Tracer::now_ns() - record->submitted_ns);
     m_mission_sim_.record(runner->sim_duration());
-    {
-      std::lock_guard lock(state_mutex_);
+    finish_job(record, status_name(event.status), event.waves,
+               outcome_to_json(record->spec.kind, event.status,
+                               runner->result()));
+  });
+  // Watch streams survive migrations: re-attach them to this incarnation.
+  for (const Watcher& watcher : watchers) {
+    runner->subscribe(
+        progress_frames(record->id, watcher.every, watcher.channel));
+  }
+}
+
+void Server::finish_job(const std::shared_ptr<JobRecord>& record,
+                        const std::string& status, std::uint64_t waves,
+                        const Json& result, bool commit) {
+  if (commit && journal_ != nullptr) {
+    // The commit point: after this append replay re-serves the answer
+    // instead of re-running the mission, so it lands before any result
+    // waiter or watcher hears of the finish.
+    Json rec = Json::object();
+    rec.set("rec", "finished");
+    rec.set("job", record->id);
+    rec.set("status", status);
+    rec.set("waves", waves);
+    rec.set("result", result);
+    static_cast<void>(journal_->append(rec));
+    static_cast<void>(remove_file(journal_->checkpoint_path(record->id)));
+  }
+  std::string text = result.dump();
+  std::vector<Watcher> watchers;
+  {
+    std::lock_guard lock(state_mutex_);
+    if (record->runner != nullptr) {  // a live job held an inflight slot
       --inflight_;
       m_inflight_.set(static_cast<double>(inflight_));
     }
-    state_cv_.notify_all();
-  });
-  // Watch streams survive migrations: re-attach them to this incarnation.
-  for (const auto& watcher : watchers) runner->subscribe(watcher);
+    record->finished = true;
+    record->final_status = status;
+    record->final_waves = waves;
+    record->final_result = std::move(text);
+    record->runner = nullptr;
+    record->resume = nullptr;
+    record->latest = nullptr;
+    watchers.swap(record->watchers);
+  }
+  state_cv_.notify_all();
+  const std::string frame = done_frame(record->id, status, waves);
+  for (const Watcher& watcher : watchers) {
+    static_cast<void>(watcher.channel->write_line(frame));
+  }
 }
 
 void Server::migrate_job(const std::shared_ptr<JobRecord>& record) {
@@ -535,7 +618,7 @@ void Server::migrate_job(const std::shared_ptr<JobRecord>& record) {
   {
     std::lock_guard lock(state_mutex_);
     resume = record->latest;
-    if (record->runner != nullptr) waves = record->runner->waves_completed();
+    waves = record->runner->waves_completed();
   }
   const std::size_t healthy = pool_.healthy_arrays();
   std::string error;
@@ -555,7 +638,10 @@ void Server::migrate_job(const std::shared_ptr<JobRecord>& record) {
             " arrays are healthy";
   }
   if (!error.empty()) {
-    finish_unmigratable(record, waves, error);
+    Json body = Json::object();
+    body.set("status", status_name(sched::JobStatus::kFailed));
+    body.set("error", "migration failed: " + error);
+    finish_job(record, status_name(sched::JobStatus::kFailed), waves, body);
     return;
   }
   {
@@ -570,120 +656,9 @@ void Server::migrate_job(const std::shared_ptr<JobRecord>& record) {
   launch_job(record);
 }
 
-void Server::finish_unmigratable(const std::shared_ptr<JobRecord>& record,
-                                 std::uint64_t waves,
-                                 const std::string& error) {
-  Json body = Json::object();
-  body.set("status", status_name(sched::JobStatus::kFailed));
-  body.set("error", "migration failed: " + error);
-  if (journal_ != nullptr) {
-    Json rec = Json::object();
-    rec.set("rec", "finished");
-    rec.set("job", record->id);
-    rec.set("status", status_name(sched::JobStatus::kFailed));
-    rec.set("waves", waves);
-    rec.set("result", body);
-    static_cast<void>(journal_->append(rec));
-    static_cast<void>(remove_file(journal_->checkpoint_path(record->id)));
-  }
-  std::vector<std::function<void(const sched::MissionEvent&)>> watchers;
-  {
-    std::lock_guard lock(state_mutex_);
-    record->journaled = body;
-    record->journal_status = status_name(sched::JobStatus::kFailed);
-    record->journal_waves = waves;
-    record->runner = nullptr;  // journal_* fields are now the truth
-    watchers = record->watchers;
-    --inflight_;
-    m_inflight_.set(static_cast<double>(inflight_));
-  }
-  state_cv_.notify_all();
-  // Watchers saw the kPreempted finish suppressed (migration pending);
-  // deliver the actual terminal event.
-  sched::MissionEvent done;
-  done.kind = sched::MissionEvent::Kind::kFinished;
-  done.status = sched::JobStatus::kFailed;
-  done.waves = waves;
-  for (const auto& watcher : watchers) watcher(done);
-}
-
-Json Server::handle_submit_batch(const Json& request) {
-  EHW_TRACE_SPAN("submit");
-  const std::uint64_t admit_start_ns = obs::Tracer::now_ns();
-  std::vector<sched::MissionSpec> specs;
-  const std::string parse_error = batch_specs_from_json(request, specs);
-  if (!parse_error.empty()) return make_error(parse_error, "bad_spec");
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].lanes > config_.pool.num_arrays) {
-      return make_error("spec " + std::to_string(i) + ": lanes=" +
-                            std::to_string(specs[i].lanes) +
-                            " exceeds the pool's " +
-                            std::to_string(config_.pool.num_arrays) +
-                            " arrays",
-                        "bad_spec");
-    }
-  }
-
-  // Atomic admission: the batch reserves all its inflight slots or none,
-  // so a swarm client never has to unpick a half-accepted manifest.
-  std::vector<std::shared_ptr<JobRecord>> records;
-  records.reserve(specs.size());
-  {
-    std::lock_guard lock(state_mutex_);
-    if (draining_.load(std::memory_order_relaxed)) {
-      m_rejected_.add(specs.size());
-      return make_error("service is draining; not accepting new missions",
-                        "draining");
-    }
-    if (inflight_ + specs.size() > max_inflight_) {
-      m_rejected_.add(specs.size());
-      Json response = make_error(
-          "rejected: batch of " + std::to_string(specs.size()) +
-              " does not fit (" + std::to_string(inflight_) +
-              " missions in flight, cap " + std::to_string(max_inflight_) +
-              ")",
-          "queue_full");
-      response.set("rejected", "queue_full");
-      response.set("retry_after_ms", retry_after_ms_locked(specs.size()));
-      return response;
-    }
-    inflight_ += specs.size();
-    m_inflight_.set(static_cast<double>(inflight_));
-    for (sched::MissionSpec& spec : specs) {
-      auto record = std::make_shared<JobRecord>();
-      record->spec = std::move(spec);
-      record->id = next_job_id_++;
-      record->submitted_ns = admit_start_ns;
-      records.push_back(std::move(record));
-    }
-  }
-  m_submitted_.add(records.size());
-  Json jobs = Json::array();
-  for (const std::shared_ptr<JobRecord>& record : records) {
-    journal_submitted(*record);
-    launch_job(record);
-    Json entry = Json::object();
-    entry.set("job", record->id);
-    entry.set("name", record->spec.name);
-    jobs.push_back(std::move(entry));
-  }
-  Json response = make_ok();
-  response.set("jobs", std::move(jobs));
-  m_submit_latency_.record(obs::Tracer::now_ns() - admit_start_ns);
-  return response;
-}
-
 void Server::prune_finished_locked() {
-  prune_finished(jobs_, config_.max_job_records, [](const JobRecord& record) {
-    // Replayed-finished records (no runner) are finished by definition.
-    if (record.runner == nullptr) return true;
-    // kPreempted is live too: the mission is mid-migration onto a new
-    // slice.
-    const sched::JobStatus status = record.runner->status();
-    return status != sched::JobStatus::kQueued &&
-           status != sched::JobStatus::kRunning &&
-           status != sched::JobStatus::kPreempted;
-  });
+  prune_finished(jobs_, config_.max_job_records,
+                 [](const JobRecord& record) { return record.finished; });
 }
 
 std::shared_ptr<Server::JobRecord> Server::find_job(
@@ -702,30 +677,31 @@ Json Server::handle_status(const Json& request) {
   response.set("kind", sched::kind_name(record->spec.kind));
   response.set("lanes", static_cast<std::uint64_t>(record->spec.lanes));
   std::shared_ptr<sched::MissionRunner> runner;
+  std::string result;
+  bool replayed = false;
   {
-    // Snapshot under the lock: migration swaps the runner (and the
-    // terminal-failure path rewrites the journal_* fields) on job
-    // threads.
+    // Snapshot under the lock: migration swaps the runner and the finish
+    // path replaces it with the answer, both on job threads.
     std::lock_guard lock(state_mutex_);
-    runner = record->runner;
-    if (runner == nullptr) {
-      response.set("status", record->journal_status);
-      response.set("waves", record->journal_waves);
-      if (const Json* sim_ns = record->journaled.get("sim_ns")) {
-        response.set("sim_ns", *sim_ns);
-      }
-      if (record->replayed_from_journal) response.set("replayed", true);
-      return response;
+    if (record->finished) {
+      response.set("status", record->final_status);
+      response.set("waves", record->final_waves);
+      result = record->final_result;
+      replayed = record->replayed;
+    } else {
+      runner = record->runner;
     }
   }
-  const sched::JobStatus status = runner->status();
-  response.set("status", status_name(status));
-  response.set("waves", runner->waves_completed());
-  if (status != sched::JobStatus::kQueued &&
-      status != sched::JobStatus::kRunning &&
-      status != sched::JobStatus::kPreempted) {
-    response.set("sim_ns", std::to_string(runner->sim_duration()));
+  if (runner == nullptr) {
+    const Json answer = Json::parse(result);
+    if (const Json* sim_ns = answer.get("sim_ns")) {
+      response.set("sim_ns", *sim_ns);
+    }
+    if (replayed) response.set("replayed", true);
+    return response;
   }
+  response.set("status", status_name(runner->status()));
+  response.set("waves", runner->waves_completed());
   return response;
 }
 
@@ -733,48 +709,28 @@ Json Server::handle_result(const Json& request) {
   std::string error;
   const std::shared_ptr<JobRecord> record = find_job(request, error);
   if (record == nullptr) return make_error(error, "unknown_job");
-  for (;;) {
-    std::shared_ptr<sched::MissionRunner> runner;
-    {
-      std::lock_guard lock(state_mutex_);
-      runner = record->runner;
-      if (runner == nullptr) {
-        // Re-served verbatim from the journal (previous incarnation) or
-        // from the terminal-failure record of a failed migration.
-        Json response = record->journaled.is_object() ? record->journaled
-                                                      : Json::object();
-        if (response.get("status") == nullptr) {
-          response.set("status", record->journal_status);
-        }
-        response.set("ok", true);
-        response.set("job", record->id);
-        response.set("name", record->spec.name);
-        response.set("kind", sched::kind_name(record->spec.kind));
-        response.set("waves", record->journal_waves);
-        if (record->replayed_from_journal) response.set("replayed", true);
-        return response;
-      }
-    }
-    // Blocks this session thread until the job leaves the running set;
-    // the connection is dedicated to the wait (use another for control
-    // ops).
-    const sched::JobOutcome& outcome = runner->result();
-    if (runner->status() == sched::JobStatus::kPreempted) {
-      // Mid-migration: the mission continues on a new slice. Wait for
-      // the record to move past this incarnation, then wait on that one.
-      std::unique_lock lock(state_mutex_);
-      state_cv_.wait(lock, [&] { return record->runner != runner; });
-      continue;
-    }
-    Json response =
-        outcome_to_json(record->spec.kind, runner->status(), outcome);
-    response.set("ok", true);
-    response.set("job", record->id);
-    response.set("name", record->spec.name);
-    response.set("kind", sched::kind_name(record->spec.kind));
-    response.set("waves", runner->waves_completed());
-    return response;
+  std::string result;
+  std::uint64_t waves = 0;
+  bool replayed = false;
+  {
+    // Blocks this session thread until the answer is committed: only
+    // the finish path sets `finished`, so a migration in between is just
+    // a longer wait, and a journaled answer is already on disk. The
+    // connection is dedicated to the wait (use another for control ops).
+    std::unique_lock lock(state_mutex_);
+    state_cv_.wait(lock, [&] { return record->finished; });
+    result = record->final_result;
+    waves = record->final_waves;
+    replayed = record->replayed;
   }
+  Json response = Json::parse(result);
+  response.set("ok", true);
+  response.set("job", record->id);
+  response.set("name", record->spec.name);
+  response.set("kind", sched::kind_name(record->spec.kind));
+  response.set("waves", waves);
+  if (replayed) response.set("replayed", true);
+  return response;
 }
 
 Json Server::handle_cancel(const Json& request) {
@@ -786,11 +742,11 @@ Json Server::handle_cancel(const Json& request) {
   std::shared_ptr<sched::MissionRunner> runner;
   {
     std::lock_guard lock(state_mutex_);
-    runner = record->runner;
-    if (runner == nullptr) {  // replayed/terminal: long finished, no-op
-      response.set("status", record->journal_status);
+    if (record->finished) {  // long finished: a no-op
+      response.set("status", record->final_status);
       return response;
     }
+    runner = record->runner;
   }
   runner->cancel();
   response.set("status", status_name(runner->status()));
@@ -808,18 +764,17 @@ Json Server::handle_list() {
       entry.set("name", record->spec.name);
       entry.set("kind", sched::kind_name(record->spec.kind));
       entry.set("lanes", static_cast<std::uint64_t>(record->spec.lanes));
-      // Additive: time since this incarnation admitted the job (absent
-      // for journal-replayed records — their admission predates us).
-      if (record->submitted_ns != 0 && now_ns >= record->submitted_ns) {
-        entry.set("age_ms", static_cast<std::uint64_t>(
-                                (now_ns - record->submitted_ns) / 1000000));
-      }
-      if (record->runner != nullptr) {
+      if (record->finished) {
+        entry.set("status", record->final_status);
+        entry.set("waves", record->final_waves);
+      } else {
+        // Additive: time since this incarnation admitted the live job.
+        if (now_ns >= record->submitted_ns) {
+          entry.set("age_ms", static_cast<std::uint64_t>(
+                                  (now_ns - record->submitted_ns) / 1000000));
+        }
         entry.set("status", status_name(record->runner->status()));
         entry.set("waves", record->runner->waves_completed());
-      } else {
-        entry.set("status", record->journal_status);
-        entry.set("waves", record->journal_waves);
       }
       jobs.push_back(std::move(entry));
     }
@@ -966,55 +921,33 @@ std::optional<Json> Server::handle_watch(
   ack.set("job", record->id);
   ack.set("watching", record->spec.name);
   if (const Json* id = request.get("id")) ack.set("id", *id);
-  const std::uint64_t job_id = record->id;
-  const auto observer = [channel, job_id,
-                         every](const sched::MissionEvent& event) {
-    Json frame = Json::object();
-    if (event.kind == sched::MissionEvent::Kind::kProgress) {
-      if (event.waves % every != 0) return;
-      frame.set("event", "progress");
-      frame.set("job", job_id);
-      frame.set("waves", event.waves);
-    } else {
-      // A kPreempted finish is not the end of the mission — it is about
-      // to migrate; this watcher gets re-attached to the new incarnation
-      // (or receives a synthesized failed event if migration cannot go).
-      if (event.status == sched::JobStatus::kPreempted) return;
-      frame.set("event", "done");
-      frame.set("job", job_id);
-      frame.set("status", status_name(event.status));
-      frame.set("waves", event.waves);
-    }
-    // Dead channels fail silently; the subscription just goes quiet.
-    static_cast<void>(channel->write_line(frame.dump()));
-  };
   std::shared_ptr<sched::MissionRunner> runner;
+  std::string done;
   {
-    // Snapshot + register in ONE critical section: a migration either
-    // swaps the runner before this (we subscribe to the new incarnation
-    // below) or copies record->watchers after it (launch_job re-attaches
-    // us) — either way no event window is lost.
+    // Check + register in ONE critical section: the finish path either
+    // committed before this (answer the done frame here) or takes this
+    // watcher with it (it sends the done frame), and a migration either
+    // swapped the runner before this (subscribe to the new incarnation
+    // below) or copies the watchers after it (launch_job re-attaches
+    // us) — no event window is lost.
     std::lock_guard lock(state_mutex_);
-    runner = record->runner;
-    if (runner != nullptr) record->watchers.push_back(observer);
+    if (record->finished) {
+      done = done_frame(record->id, record->final_status, record->final_waves);
+    } else {
+      runner = record->runner;
+      record->watchers.push_back(Watcher{channel, every});
+    }
   }
   if (runner == nullptr) {
-    // Replayed/terminal: ack, then an immediate synthesized done frame
-    // (exactly what a live watch on a finished job delivers).
     static_cast<void>(channel->write_line(ack.dump()));
-    Json frame = Json::object();
-    frame.set("event", "done");
-    frame.set("job", record->id);
-    frame.set("status", record->journal_status);
-    frame.set("waves", record->journal_waves);
-    static_cast<void>(channel->write_line(frame.dump()));
+    static_cast<void>(channel->write_line(done));
     return std::nullopt;
   }
   // Subscribe BEFORE writing the ack: once the client has the ack it
   // must be guaranteed to observe every subsequent wave (the client
-  // handles events that land ahead of the ack). The write lock keeps
-  // the frames themselves from interleaving.
-  runner->subscribe(observer);
+  // handles frames, the done frame included, that land ahead of the
+  // ack). The write lock keeps the frames themselves from interleaving.
+  runner->subscribe(progress_frames(record->id, every, channel));
   // A watching session legitimately goes quiet (events flow the other
   // way) — exempt it from the idle-session bound for its lifetime.
   channel->set_recv_timeout(0);

@@ -4,11 +4,12 @@
 // behind an svc::Forwarder. The sessions, frame armor and handshake are
 // svc::Frontend's (frontend.hpp).
 //
-// Admission control: at most `max_inflight` jobs may be submitted but
-// not yet finished (queued in the pool counts); beyond that, submits are
-// rejected with code "queue_full" so clients get explicit backpressure
-// instead of an ever-growing queue. Lane demand is validated against the
-// pool before submission.
+// Admission control: `submit` and `submit_batch` admit through one
+// function (admit). At most `max_inflight` jobs may be submitted but not
+// yet finished (queued in the pool counts); beyond that, an admission is
+// rejected whole with code "queue_full" and a retry_after_ms hint, so
+// clients get explicit backpressure instead of an ever-growing queue.
+// Lane demand is validated against the pool before submission.
 //
 // Drain/shutdown: drain() (or the "drain" op) makes every subsequent
 // submit fail with code "draining" while running/queued jobs finish
@@ -21,13 +22,26 @@
 // pool/job-body path as `mpa batch`, so they inherit the scheduler's
 // guarantee: bit-identical to a standalone run of the same spec.
 //
+// A finished job is its committed answer. One finish path (finish_job)
+// takes every job out of the live set — a mission that ran to its end, a
+// preempted one no healthy slice can host, and one replayed from the
+// journal — and leaves the record holding its answer (terminal status,
+// waves and `result` body text, plus the replayed flag) beside its id
+// and spec, and no runner, checkpoint or watcher, so no connection
+// outlives its session. Every handler answers a finished job from those
+// fields alone; the replies of a job that finished in this incarnation
+// and of one replayed from the log differ only by "replayed":true.
+// `result` waits for that commit, so its answer is never one a crash
+// could lose.
+//
 // Durability (optional, ServerConfig::journal_dir): every admitted job
 // is journaled write-ahead ("submitted" before launch, "finished" with
-// the full result body after), running jobs checkpoint their evolution
-// state every `checkpoint_every` generations, and a restarting daemon
-// replays the journal — finished missions are re-served from the log
-// without recomputation, unfinished ones are resubmitted and resume
-// from their latest checkpoint, landing on bit-identical results.
+// the full result body as the commit, before any waiter or watcher is
+// answered), running jobs checkpoint their evolution state every
+// `checkpoint_every` generations, and a restarting daemon replays the
+// journal — finished missions are re-served from the log without
+// recomputation, unfinished ones are resubmitted and resume from their
+// latest checkpoint, landing on bit-identical results.
 
 #include <atomic>
 #include <condition_variable>
@@ -154,51 +168,82 @@ class Server {
   [[nodiscard]] std::string metrics_text();
 
  private:
+  /// One watch subscription: the session's channel and its progress
+  /// cadence. Re-attached to each new incarnation's runner so progress
+  /// streams survive a migration.
+  struct Watcher {
+    std::shared_ptr<LineChannel> channel;
+    std::uint64_t every = 1;
+  };
+  /// A job is live (it has a runner) until finish_job commits its
+  /// answer; from then on handlers read only id, spec, `replayed` and
+  /// the final_* fields (see the file comment). Every field but id and
+  /// spec is guarded by state_mutex_.
   struct JobRecord {
     std::uint64_t id = 0;
     sched::MissionSpec spec;
-    /// Tracer::now_ns() at admission; feeds the `age_ms` list field and
-    /// the mission wall-time histogram. 0 for journal-replayed records
-    /// (their admission predates this process).
+    /// Tracer::now_ns() at admission; feeds the `age_ms` list field of a
+    /// live job and the mission wall-time histogram.
     std::uint64_t submitted_ns = 0;
-    /// Live execution handle; nullptr for a mission replayed from the
-    /// journal as already finished (or failed terminally during a
-    /// migration) — then the journal_* fields below are the record of
-    /// truth and every handler answers from them. Swapped under
-    /// state_mutex_ when a preempted mission migrates to a new slice.
+    /// Live execution handle, swapped when a preempted mission migrates
+    /// to a new slice.
     std::shared_ptr<sched::MissionRunner> runner;
-    Json journaled;              // replayed "finished" result body
-    std::string journal_status;  // replayed terminal status name
-    std::uint64_t journal_waves = 0;
-    bool replayed_from_journal = false;
     /// Saved state a resubmitted mission resumes from (loaded from its
-    /// job-<id>.ckpt sidecar during replay, or taken from `latest` when
-    /// migrating off a quarantined slice).
+    /// job-<id>.ckpt sidecar during replay, carried by a failover
+    /// submit, or taken from `latest` when migrating off a quarantined
+    /// slice).
     std::shared_ptr<const platform::MissionCheckpoint> resume;
     /// Latest generation-boundary checkpoint, held in memory for every
     /// running job (journaled or not) — the state a migration restores.
-    /// Guarded by state_mutex_.
     std::shared_ptr<const platform::MissionCheckpoint> latest;
     /// Lease width override for a migrated incarnation (0 = spec.lanes).
     /// An evolve mission preempted off its slice relaunches on
     /// min(spec.lanes, healthy) arrays; the checkpoint's logical lane
     /// count keeps results bit-identical either way.
     std::size_t grant_lanes = 0;
-    /// Watch subscriptions, re-attached to each new incarnation's runner
-    /// so progress streams survive a migration. Guarded by state_mutex_.
-    std::vector<std::function<void(const sched::MissionEvent&)>> watchers;
+    std::vector<Watcher> watchers;
+    /// The committed answer, immutable once `finished` is set.
+    bool finished = false;
+    /// Re-served from the journal of an earlier incarnation (or failed
+    /// at replay); the one thing that sets its replies apart.
+    bool replayed = false;
+    std::string final_status;
+    std::uint64_t final_waves = 0;
+    /// The `result` body as serialized text (a fraction of a Json tree's
+    /// heap, and the daemon keeps up to max_job_records of them).
+    std::string final_result;
   };
   /// The Frontend handler: this daemon's ops. nullopt when the handler
   /// already wrote its own frames (watch).
   [[nodiscard]] std::optional<Json> handle_request(
       const std::string& op, const Json& request,
       const std::shared_ptr<LineChannel>& channel);
+  /// `submit` (one spec, optional resume state) and `submit_batch`
+  /// parse and frame their replies; admit() does the rest.
   [[nodiscard]] Json handle_submit(const Json& request);
   [[nodiscard]] Json handle_submit_batch(const Json& request);
+  /// The one way in: validates lane demand, reserves one inflight slot
+  /// per record or none (queue_full with a retry_after_ms hint, or
+  /// draining), assigns ids, journals each "submitted" record and
+  /// launches it. nullopt once every record is admitted, else the
+  /// refusal reply.
+  [[nodiscard]] std::optional<Json> admit(
+      const std::vector<std::shared_ptr<JobRecord>>& records);
   /// Registers one admitted job: pool submission, record registry,
-  /// inflight bookkeeping subscription. Caller already reserved the
-  /// inflight slot. Runs OUTSIDE state_mutex_ (see handle_submit).
+  /// terminal observer, watch re-attachment. Caller already reserved the
+  /// inflight slot. Runs OUTSIDE state_mutex_: pool submission may fire
+  /// a finish observer on this thread.
   void launch_job(const std::shared_ptr<JobRecord>& record);
+  /// The one way out: appends the "finished" record (journaled daemons,
+  /// when `commit`) before anyone hears of the finish, makes the record
+  /// its committed answer, drops its runner, checkpoints and watchers,
+  /// releases a live job's inflight slot and sends the watchers their
+  /// done frames. Callers: the runner's terminal observer, a failed
+  /// migration and journal replay (commit = false for an answer the log
+  /// already holds).
+  void finish_job(const std::shared_ptr<JobRecord>& record,
+                  const std::string& status, std::uint64_t waves,
+                  const Json& result, bool commit = true);
   [[nodiscard]] Json handle_status(const Json& request);
   [[nodiscard]] Json handle_result(const Json& request);
   [[nodiscard]] Json handle_cancel(const Json& request);
@@ -220,14 +265,9 @@ class Server {
   void journal_submitted(const JobRecord& record);
   /// Relaunches a preempted mission from its latest checkpoint onto the
   /// healthy remainder of the pool (runs on the job thread that just
-  /// preempted; inflight_ stays held across the hop). Falls through to
-  /// finish_unmigratable when nothing can host the mission.
+  /// preempted; inflight_ stays held across the hop). Finishes the job
+  /// failed when nothing can host the mission.
   void migrate_job(const std::shared_ptr<JobRecord>& record);
-  /// Terminal failure for a mission that cannot be migrated: journals a
-  /// failed result, releases the inflight slot and makes the journal_*
-  /// fields the record of truth (runner = nullptr).
-  void finish_unmigratable(const std::shared_ptr<JobRecord>& record,
-                           std::uint64_t waves, const std::string& error);
 
   /// Refreshes the scrape-time gauges from the pool; called by
   /// metrics_text() and cheap enough for every scrape.

@@ -1,11 +1,13 @@
 // Tests for daemon durability: the append-only mission journal (replay,
 // torn-tail and corrupt-record handling), crash recovery in the Server
-// (re-serving finished missions, resuming unfinished ones from their
-// checkpoint with bit-identical results, duplicate names across
-// restarts) and warm-state persistence across incarnations.
+// (re-serving finished missions exactly as they were served live,
+// resuming unfinished ones from their checkpoint with bit-identical
+// results, duplicate names across restarts), the commit-before-answer
+// order of `result` and warm-state persistence across incarnations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -16,6 +18,7 @@
 #include "ehw/svc/client.hpp"
 #include "ehw/svc/journal.hpp"
 #include "ehw/svc/server.hpp"
+#include "ehw/svc/socket.hpp"
 
 namespace ehw::svc {
 namespace {
@@ -52,6 +55,30 @@ ServerConfig durable_config(const std::string& journal_dir,
   config.journal_dir = journal_dir;
   config.checkpoint_every = 4;
   return config;
+}
+
+/// The frame a watch of the finished `job` ends with.
+Json watch_done_frame(std::uint16_t port, std::uint64_t job) {
+  LineChannel channel(Socket::connect_to("127.0.0.1", port));
+  std::string line;
+  EXPECT_TRUE(channel.read_line(line));  // greeting
+  EXPECT_TRUE(channel.write_line(R"({"op":"hello","protocol":1})"));
+  EXPECT_TRUE(channel.read_line(line));
+  EXPECT_TRUE(channel.write_line(R"({"op":"watch","job":)" +
+                                 std::to_string(job) + "}"));
+  while (channel.read_line(line)) {
+    Json frame = Json::parse(line);
+    if (frame.get_string("event", "") == "done") return frame;
+  }
+  ADD_FAILURE() << "watch ended without a done frame";
+  return Json();
+}
+
+/// A reply without its `replayed` flag.
+Json without_replayed(Json reply) {
+  std::erase_if(reply.as_object(),
+                [](const auto& member) { return member.first == "replayed"; });
+  return reply;
 }
 
 // --- MissionJournal ---------------------------------------------------------
@@ -140,16 +167,23 @@ TEST(Recovery, FinishedMissionsAreReServedAcrossRestart) {
   Fitness fitness = 0;
   std::string hash;
   std::uint64_t job_id = 0;
+  Json live_result;
+  Json live_status;
+  Json live_row;
+  Json live_done;
   {
     Server server(durable_config(dir));
     Client client(server.port());
     const Client::Submitted submitted = client.submit(spec);
     ASSERT_TRUE(submitted.ok);
     job_id = submitted.job;
-    const Json result = client.result(job_id);
-    ASSERT_EQ(result.get_string("status", "?"), "done");
-    fitness = static_cast<Fitness>(result.get_number("best_fitness", 0));
-    hash = result.get_string("genotype_hash", "?");
+    live_result = client.result(job_id);
+    ASSERT_EQ(live_result.get_string("status", "?"), "done");
+    fitness = static_cast<Fitness>(live_result.get_number("best_fitness", 0));
+    hash = live_result.get_string("genotype_hash", "?");
+    live_status = client.status(job_id);
+    live_row = client.list().get("jobs")->as_array().at(0);
+    live_done = watch_done_frame(server.port(), job_id);
     server.drain();
     server.stop();
   }
@@ -167,6 +201,15 @@ TEST(Recovery, FinishedMissionsAreReServedAcrossRestart) {
             fitness);
   EXPECT_EQ(replayed.get_string("genotype_hash", "?"), hash);
 
+  // One representation of a finished job: every reply the restarted
+  // daemon gives equals the live daemon's, but for the replayed flag.
+  EXPECT_EQ(without_replayed(replayed), live_result);
+  const Json replayed_status = client.status(job_id);
+  EXPECT_TRUE(replayed_status.get_bool("replayed", false));
+  EXPECT_EQ(without_replayed(replayed_status), live_status);
+  EXPECT_EQ(client.list().get("jobs")->as_array().at(0), live_row);
+  EXPECT_EQ(watch_done_frame(server.port(), job_id), live_done);
+
   // The journal section of `stats` reports the recovery.
   const Json stats = client.stats();
   const Json* journal = stats.get("journal");
@@ -174,6 +217,34 @@ TEST(Recovery, FinishedMissionsAreReServedAcrossRestart) {
   EXPECT_EQ(journal->get_string("dir", "?"), dir);
   EXPECT_EQ(journal->get_number("replayed_finished", -1), 1);
   EXPECT_FALSE(journal->get_bool("truncated_tail", true));
+}
+
+TEST(Recovery, ResultAnswersOnlyOnceTheFinishedRecordIsJournaled) {
+  const std::string dir = fresh_dir("ehw_recovery_commit");
+  Server server(durable_config(dir));
+  Client client(server.port());
+  for (int i = 0; i < 6; ++i) {
+    const Client::Submitted submitted =
+        client.submit(quick_spec("commit-" + std::to_string(i), 4));
+    ASSERT_TRUE(submitted.ok) << submitted.error;
+    ASSERT_EQ(client.result(submitted.job).get_string("status", "?"), "done");
+    // The answer served is the committed one: a crash right now would
+    // re-serve it from the log, never re-run the mission. The append has
+    // returned (fsync'd: submitted, started and finished per mission)...
+    EXPECT_EQ(server.journal_stats().appended,
+              3 * static_cast<std::uint64_t>(i + 1));
+    // ...and the record reads back.
+    const MissionJournal::Replay replay = MissionJournal::replay(dir);
+    EXPECT_TRUE(std::any_of(
+        replay.records.begin(), replay.records.end(), [&](const Json& rec) {
+          return rec.get_string("rec", "") == "finished" &&
+                 rec.get_number("job", 0) ==
+                     static_cast<double>(submitted.job);
+        }))
+        << "job " << submitted.job << " answered before its commit";
+  }
+  server.drain();
+  server.stop();
 }
 
 TEST(Recovery, DuplicateNamesAcrossRestartResolveToLatest) {
@@ -263,10 +334,9 @@ TEST(Recovery, ForgedCrashResumesFromCheckpointBitIdentical) {
   EXPECT_EQ(result.get_string("genotype_hash", "?"), ref_hash);
   server.drain();
   server.stop();
-  // By shutdown the finish observer has run: sidecar cleaned up and the
-  // commit record journaled, so the NEXT restart re-serves instead of
-  // re-running. (A client can observe `done` a beat before the observer
-  // fires, so this is only checked post-stop.)
+  // The finish path ran before `result` answered: sidecar cleaned up and
+  // the commit record journaled, so the NEXT restart re-serves instead of
+  // re-running.
   EXPECT_FALSE(file_exists(dir + "/job-1.ckpt"));
 
   Server again(durable_config(dir));

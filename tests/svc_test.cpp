@@ -3,14 +3,18 @@
 // (queue_full backpressure), drain semantics, progress streaming — and
 // above all that results delivered through the socket are BIT-IDENTICAL
 // to standalone runs of the same spec (the scheduler's determinism
-// guarantee extended across the wire). Also the channel liveness check
-// that decides whether a pooled connection may carry another exchange.
+// guarantee extended across the wire). Admission is checked on every
+// path a mission takes in: `submit` and a one-spec `submit_batch`,
+// straight to the daemon and through a one-backend front. Also that a
+// finished job holds no connection, and the channel liveness check that
+// decides whether a pooled connection may carry another exchange.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,6 +29,7 @@
 #include "ehw/common/version.hpp"
 #include "ehw/sched/missions.hpp"
 #include "ehw/svc/client.hpp"
+#include "ehw/svc/forwarder.hpp"
 #include "ehw/svc/server.hpp"
 #include "ehw/svc/socket.hpp"
 
@@ -75,6 +80,64 @@ void expect_result_matches(const Json& result, const Reference& ref) {
             ref.fitness);
   EXPECT_EQ(result.get_string("genotype_hash", "?"), ref.genotype_hash);
   EXPECT_EQ(result.get_string("sim_ns", "?"), ref.sim_ns);
+}
+
+/// Polls `pred` for up to ~2 s (loopback delivery is not instantaneous).
+bool eventually(const std::function<bool()>& pred) {
+  for (int waited = 0; waited < 2000 && !pred(); waited += 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return pred();
+}
+
+/// One daemon, reached directly or through a one-backend front.
+struct Deployment {
+  Deployment(const ServerConfig& config, bool front) : server(config) {
+    if (!front) return;
+    ForwarderConfig forwarder_config;
+    BackendConfig backend;
+    backend.port = server.port();
+    forwarder_config.backends = {backend};
+    forwarder_config.poll_ms = 50;
+    forwarder = std::make_unique<Forwarder>(std::move(forwarder_config));
+  }
+  ~Deployment() {
+    if (forwarder != nullptr) forwarder->stop();
+    server.stop();
+  }
+  [[nodiscard]] std::uint16_t port() const {
+    return forwarder != nullptr ? forwarder->port() : server.port();
+  }
+
+  Server server;
+  std::unique_ptr<Forwarder> forwarder;
+};
+
+/// A way a mission gets admitted: `submit` or a one-spec `submit_batch`,
+/// straight to the daemon or through a front. Each must answer alike.
+struct AdmissionPath {
+  const char* name;
+  bool front;
+  bool batch;
+};
+constexpr AdmissionPath kAdmissionPaths[] = {
+    {"direct submit", false, false},
+    {"direct submit_batch", false, true},
+    {"front submit", true, false},
+    {"front submit_batch", true, true}};
+
+/// Admits one spec the way `batch` says, the reply read as a submit's.
+Client::Submitted admit(Client& client, const sched::MissionSpec& spec,
+                        bool batch) {
+  if (!batch) return client.submit(spec);
+  const Client::BatchSubmitted reply = client.submit_batch({spec});
+  Client::Submitted submitted;
+  submitted.ok = reply.ok;
+  if (reply.ok) submitted.job = reply.jobs[0];
+  submitted.error = reply.error;
+  submitted.code = reply.code;
+  submitted.retry_after_ms = reply.retry_after_ms;
+  return submitted;
 }
 
 // --- protocol payloads ------------------------------------------------------
@@ -207,12 +270,19 @@ TEST(SvcServer, MalformedAndUnknownRequestsGetErrorsWithEchoedId) {
   ASSERT_TRUE(channel.read_line(line));
   EXPECT_EQ(Json::parse(line).get_string("code", ""), "bad_spec");
 
-  // Lane demand beyond the pool is a spec error too.
-  ASSERT_TRUE(channel.write_line(
-      R"({"op":"submit","spec":{"kind":"denoise","name":"x","lanes":7}})"));
-  ASSERT_TRUE(channel.read_line(line));
-  EXPECT_EQ(Json::parse(line).get_string("code", ""), "bad_spec");
   server.stop();
+
+  // Lane demand beyond the pool is a spec error too, however it comes in.
+  for (const AdmissionPath& path : kAdmissionPaths) {
+    SCOPED_TRACE(path.name);
+    Deployment deployment(config, path.front);
+    Client client(deployment.port());
+    const Client::Submitted wide = admit(
+        client, quick_spec(sched::MissionKind::kDenoise, "x", 7, 5, 1),
+        path.batch);
+    EXPECT_FALSE(wide.ok);
+    EXPECT_EQ(wide.code, "bad_spec");
+  }
 }
 
 // --- end-to-end determinism -------------------------------------------------
@@ -502,65 +572,77 @@ TEST(SvcServer, AdmissionControlRejectsQueueFullAndCancelUnblocks) {
   ServerConfig config;
   config.pool.num_arrays = 1;
   config.max_inflight = 1;
-  Server server(config);
-  Client client(server.port());
+  for (const AdmissionPath& path : kAdmissionPaths) {
+    SCOPED_TRACE(path.name);
+    Deployment deployment(config, path.front);
+    Client client(deployment.port());
 
-  // An effectively endless mission occupies the only inflight slot.
-  const sched::MissionSpec long_spec =
-      quick_spec(sched::MissionKind::kDenoise, "long", 1, 100000000, 3);
-  const Client::Submitted first = client.submit(long_spec);
-  ASSERT_TRUE(first.ok) << first.error;
+    // An effectively endless mission occupies the only inflight slot.
+    const sched::MissionSpec long_spec =
+        quick_spec(sched::MissionKind::kDenoise, "long", 1, 100000000, 3);
+    const Client::Submitted first = admit(client, long_spec, path.batch);
+    ASSERT_TRUE(first.ok) << first.error;
 
-  // Backpressure: the second submit is rejected, not queued.
-  const Client::Submitted second = client.submit(
-      quick_spec(sched::MissionKind::kDenoise, "extra", 1, 5, 4));
-  ASSERT_FALSE(second.ok);
-  EXPECT_EQ(second.code, "queue_full");
+    // Backpressure: the second submit is rejected, not queued, and says
+    // when to come back.
+    const Client::Submitted second = admit(
+        client, quick_spec(sched::MissionKind::kDenoise, "extra", 1, 5, 4),
+        path.batch);
+    ASSERT_FALSE(second.ok);
+    EXPECT_EQ(second.code, "queue_full");
+    EXPECT_GT(second.retry_after_ms, 0u);
 
-  // Cancel the hog from a second connection; watch sees it finish.
-  Client controller(server.port());
-  ASSERT_TRUE(controller.cancel(first.job));
-  const std::string status = client.watch(first.job);
-  EXPECT_EQ(status, "cancelled");
+    // Cancel the hog from a second connection; watch sees it finish.
+    Client controller(deployment.port());
+    ASSERT_TRUE(controller.cancel(first.job));
+    const std::string status = client.watch(first.job);
+    EXPECT_EQ(status, "cancelled");
 
-  // The slot freed up: submitting works again.
-  const Client::Submitted third = client.submit(
-      quick_spec(sched::MissionKind::kDenoise, "after", 1, 5, 4));
-  ASSERT_TRUE(third.ok) << third.error;
-  EXPECT_EQ(client.watch(third.job), "done");
-  server.stop();
+    // The slot freed up: submitting works again.
+    const Client::Submitted third = admit(
+        client, quick_spec(sched::MissionKind::kDenoise, "after", 1, 5, 4),
+        path.batch);
+    ASSERT_TRUE(third.ok) << third.error;
+    EXPECT_EQ(client.watch(third.job), "done");
+  }
 }
 
 TEST(SvcServer, DrainFinishesInFlightJobsAndRefusesNewOnes) {
   ServerConfig config;
   config.pool.num_arrays = 2;
-  Server server(config);
-  Client submitter(server.port());
+  for (const AdmissionPath& path : kAdmissionPaths) {
+    SCOPED_TRACE(path.name);
+    Deployment deployment(config, path.front);
+    Client submitter(deployment.port());
 
-  const sched::MissionSpec spec =
-      quick_spec(sched::MissionKind::kDenoise, "inflight", 2, 20, 7);
-  const Client::Submitted submitted = submitter.submit(spec);
-  ASSERT_TRUE(submitted.ok) << submitted.error;
+    const sched::MissionSpec spec =
+        quick_spec(sched::MissionKind::kDenoise, "inflight", 2, 20, 7);
+    const Client::Submitted submitted = admit(submitter, spec, path.batch);
+    ASSERT_TRUE(submitted.ok) << submitted.error;
 
-  // Drain from a second connection, waiting for the in-flight job.
-  Client controller(server.port());
-  const Json drained = controller.drain(/*wait=*/true);
-  ASSERT_TRUE(drained.get_bool("ok", false));
-  EXPECT_EQ(drained.get_number("inflight", -1), 0.0);
-  EXPECT_TRUE(server.draining());
+    // Drain from a second connection, waiting for the in-flight job (a
+    // front fans the drain out to its backend).
+    Client controller(deployment.port());
+    const Json drained = controller.drain(/*wait=*/true);
+    ASSERT_TRUE(drained.get_bool("ok", false));
+    if (!path.front) {
+      EXPECT_EQ(drained.get_number("inflight", -1), 0.0);
+    }
+    EXPECT_TRUE(deployment.server.draining());
 
-  // New submissions are refused with an explicit code...
-  const Client::Submitted rejected = submitter.submit(
-      quick_spec(sched::MissionKind::kDenoise, "late", 1, 5, 8));
-  ASSERT_FALSE(rejected.ok);
-  EXPECT_EQ(rejected.code, "draining");
+    // New submissions are refused with an explicit code...
+    const Client::Submitted rejected = admit(
+        submitter, quick_spec(sched::MissionKind::kDenoise, "late", 1, 5, 8),
+        path.batch);
+    ASSERT_FALSE(rejected.ok);
+    EXPECT_EQ(rejected.code, "draining");
 
-  // ...while the in-flight job completed normally, bit-identical.
-  const Json result = submitter.result(submitted.job);
-  expect_result_matches(result, standalone_reference(spec));
+    // ...while the in-flight job completed normally, bit-identical.
+    const Json result = submitter.result(submitted.job);
+    expect_result_matches(result, standalone_reference(spec));
 
-  server.wait_drained();  // returns immediately: drained and empty
-  server.stop();
+    deployment.server.wait_drained();  // drained and empty
+  }
 }
 
 TEST(SvcServer, RetentionEvictsOldestFinishedJobsOnly) {
@@ -616,6 +698,47 @@ TEST(SvcServer, RetentionNeverEvictsLiveJobs) {
   EXPECT_EQ(list.get("jobs")->as_array()[1].get_string("name", ""), "r2");
   ASSERT_TRUE(client.cancel(keeper.job));
   EXPECT_EQ(client.watch(keeper.job), "cancelled");
+  server.stop();
+}
+
+/// Open descriptors of this process, the in-process daemon's included.
+std::size_t open_fds() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    static_cast<void>(entry);
+    ++count;
+  }
+  return count;
+}
+
+TEST(SvcServer, FinishedJobsKeepNoWatcherConnection) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd to count descriptors in";
+  }
+  ServerConfig config;
+  config.pool.num_arrays = 2;
+  Server server(config);
+  const std::size_t before = open_fds();
+  constexpr int kMissions = 24;
+  for (int i = 0; i < kMissions; ++i) {
+    char name[8];
+    std::snprintf(name, sizeof name, "w%d", i);
+    Client client(server.port());
+    const Client::Submitted submitted = client.submit(quick_spec(
+        sched::MissionKind::kDenoise, name, 1, 3,
+        static_cast<std::uint64_t>(60 + i)));
+    ASSERT_TRUE(submitted.ok) << submitted.error;
+    EXPECT_EQ(client.watch(submitted.job), "done");
+  }  // each watching client disconnects here
+  // Ended sessions are reaped at the next accept: wait until every one
+  // noticed its disconnect, then connect once more.
+  ASSERT_TRUE(
+      eventually([&] { return server.service_stats().sessions_open == 0; }));
+  EXPECT_TRUE(Client(server.port()).list().get_bool("ok", false));
+  // What is left is the last session (reaped by a later accept) and
+  // slack; a finished job that kept its watcher would hold one each.
+  EXPECT_LE(open_fds(), before + 4);
   server.stop();
 }
 
@@ -773,65 +896,74 @@ TEST(SvcServer, QueueFullRejectionsCarryRetryAfterHint) {
   ServerConfig config;
   config.pool.num_arrays = 1;
   config.max_inflight = 1;
-  Server server(config);
-  Client client(server.port());
+  for (const AdmissionPath& path : kAdmissionPaths) {
+    SCOPED_TRACE(path.name);
+    Deployment deployment(config, path.front);
+    Client client(deployment.port());
 
-  const Client::Submitted hog = client.submit(
-      quick_spec(sched::MissionKind::kDenoise, "hog", 1, 100000000, 3));
-  ASSERT_TRUE(hog.ok) << hog.error;
+    const Client::Submitted hog = admit(
+        client,
+        quick_spec(sched::MissionKind::kDenoise, "hog", 1, 100000000, 3),
+        path.batch);
+    ASSERT_TRUE(hog.ok) << hog.error;
 
-  const Client::Submitted rejected = client.submit(
-      quick_spec(sched::MissionKind::kDenoise, "extra", 1, 5, 4));
-  ASSERT_FALSE(rejected.ok);
-  EXPECT_EQ(rejected.code, "queue_full");
-  // The hint is clamped to a sane band so well-behaved clients neither
-  // hammer (>= 25 ms) nor stall for ages (<= 60 s).
-  EXPECT_GE(rejected.retry_after_ms, 25u);
-  EXPECT_LE(rejected.retry_after_ms, 60'000u);
+    // A front relays the daemon's refusal, hint included.
+    const Client::Submitted rejected = admit(
+        client, quick_spec(sched::MissionKind::kDenoise, "extra", 1, 5, 4),
+        path.batch);
+    ASSERT_FALSE(rejected.ok);
+    EXPECT_EQ(rejected.code, "queue_full");
+    // The hint is clamped to a sane band so well-behaved clients neither
+    // hammer (>= 25 ms) nor stall for ages (<= 60 s).
+    EXPECT_GE(rejected.retry_after_ms, 25u);
+    EXPECT_LE(rejected.retry_after_ms, 60'000u);
 
-  Client controller(server.port());
-  ASSERT_TRUE(controller.cancel(hog.job));
-  EXPECT_EQ(client.watch(hog.job), "cancelled");
-  server.stop();
+    Client controller(deployment.port());
+    ASSERT_TRUE(controller.cancel(hog.job));
+    EXPECT_EQ(client.watch(hog.job), "cancelled");
+  }
 }
 
 TEST(SvcClient, WithRetryWaitsOutQueueFullHintAndLands) {
   ServerConfig config;
   config.pool.num_arrays = 1;
   config.max_inflight = 1;
-  Server server(config);
-  Client client(server.port());
+  for (const bool front : {false, true}) {
+    SCOPED_TRACE(front ? "through a front" : "direct");
+    Deployment deployment(config, front);
+    const std::uint16_t port = deployment.port();
+    Client client(port);
 
-  const Client::Submitted hog = client.submit(
-      quick_spec(sched::MissionKind::kDenoise, "hog2", 1, 100000000, 3));
-  ASSERT_TRUE(hog.ok) << hog.error;
+    const Client::Submitted hog = client.submit(
+        quick_spec(sched::MissionKind::kDenoise, "hog2", 1, 100000000, 3));
+    ASSERT_TRUE(hog.ok) << hog.error;
 
-  // Free the slot shortly after the first rejection lands.
-  std::thread unblocker([&server, job = hog.job] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    Client controller(server.port());
-    ASSERT_TRUE(controller.cancel(job));
-  });
+    // Free the slot shortly after the first rejection lands.
+    std::thread unblocker([port, job = hog.job] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      Client controller(port);
+      ASSERT_TRUE(controller.cancel(job));
+    });
 
-  const sched::MissionSpec spec =
-      quick_spec(sched::MissionKind::kDenoise, "patient", 1, 5, 4);
-  RetryPolicy policy;
-  policy.retries = 20;
-  policy.backoff_ms = 50;
-  const Json response = with_retry(
-      server.port(), "127.0.0.1", policy, [&spec](Client& c) -> Json {
-        Json request = Json::object();
-        request.set("op", "submit");
-        request.set("spec", spec_to_json(spec));
-        return c.request(request);
-      });
-  unblocker.join();
-  ASSERT_TRUE(response.get_bool("ok", false))
-      << response.get_string("error", "");
-  EXPECT_EQ(client.watch(static_cast<std::uint64_t>(
-                response.get_number("job", 0))),
-            "done");
-  server.stop();
+    const sched::MissionSpec spec =
+        quick_spec(sched::MissionKind::kDenoise, "patient", 1, 5, 4);
+    RetryPolicy policy;
+    policy.retries = 20;
+    policy.backoff_ms = 50;
+    const Json response = with_retry(
+        port, "127.0.0.1", policy, [&spec](Client& c) -> Json {
+          Json request = Json::object();
+          request.set("op", "submit");
+          request.set("spec", spec_to_json(spec));
+          return c.request(request);
+        });
+    unblocker.join();
+    ASSERT_TRUE(response.get_bool("ok", false))
+        << response.get_string("error", "");
+    EXPECT_EQ(client.watch(static_cast<std::uint64_t>(
+                  response.get_number("job", 0))),
+              "done");
+  }
 }
 
 // --- connection reuse: the liveness check -----------------------------------
@@ -849,14 +981,6 @@ struct ChannelPair {
   LineChannel near;
   std::unique_ptr<LineChannel> far;
 };
-
-/// Polls `pred` for up to ~2 s (loopback delivery is not instantaneous).
-bool eventually(const std::function<bool()>& pred) {
-  for (int waited = 0; waited < 2000 && !pred(); waited += 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return pred();
-}
 
 TEST(SvcChannel, IdleOpenChannelStaysReusable) {
   ChannelPair pair;
