@@ -496,9 +496,9 @@ void BM_ClusterThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
   state.counters["missions_per_wall_s"] =
       wall_seconds > 0.0 ? static_cast<double>(completed) / wall_seconds : 0.0;
-  evo::FitnessMemoStats memo;
+  LruStats memo;
   for (const auto& server : servers) {
-    const evo::FitnessMemoStats s = server->pool().memo_stats();
+    const LruStats s = server->pool().memo_stats();
     memo.hits += s.hits;
     memo.misses += s.misses;
     memo.evictions += s.evictions;

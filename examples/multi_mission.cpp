@@ -91,7 +91,7 @@ int main(int argc, char** argv) try {
     all_identical = all_identical && identical;
   }
 
-  const sched::CacheStats cache = pool.cache_stats();
+  const LruStats cache = pool.cache_stats();
   std::printf(
       "\npool of %zu arrays: simulated makespan %.3f s vs %.3f s serialized "
       "(%.2fx, %.2f missions/sim-s)\n"

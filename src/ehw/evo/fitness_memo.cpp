@@ -6,82 +6,7 @@ namespace ehw::evo {
 
 bool FitnessMemo::lookup(std::uint64_t key, Fitness* fitness) {
   EHW_TRACE_SPAN("memo_lookup");
-  std::lock_guard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return false;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  *fitness = it->second.fitness;
-  return true;
-}
-
-void FitnessMemo::store(std::uint64_t key, Fitness fitness) {
-  if (capacity_ == 0) return;
-  std::lock_guard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Deterministic evaluation: a concurrent mission already stored the
-    // same value. Refresh recency only.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return;
-  }
-  while (index_.size() >= capacity_) {
-    index_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  lru_.push_front(key);
-  index_.emplace(key, Entry{fitness, lru_.begin()});
-}
-
-std::size_t FitnessMemo::size() const {
-  std::lock_guard lock(mutex_);
-  return index_.size();
-}
-
-FitnessMemoStats FitnessMemo::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
-}
-
-void FitnessMemo::clear() {
-  std::lock_guard lock(mutex_);
-  lru_.clear();
-  index_.clear();
-}
-
-std::vector<std::pair<std::uint64_t, Fitness>> FitnessMemo::snapshot() const {
-  std::lock_guard lock(mutex_);
-  std::vector<std::pair<std::uint64_t, Fitness>> entries;
-  entries.reserve(index_.size());
-  for (const std::uint64_t key : lru_) {
-    entries.emplace_back(key, index_.at(key).fitness);
-  }
-  return entries;
-}
-
-void FitnessMemo::preload(
-    const std::vector<std::pair<std::uint64_t, Fitness>>& entries) {
-  if (capacity_ == 0) return;
-  std::lock_guard lock(mutex_);
-  // Oldest-first insertion reproduces the snapshot's recency order; the
-  // store path's eviction loop then keeps only the newest `capacity_`.
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    const auto found = index_.find(it->first);
-    if (found != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, found->second.lru_pos);
-      continue;
-    }
-    while (index_.size() >= capacity_) {
-      index_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    lru_.push_front(it->first);
-    index_.emplace(it->first, Entry{it->second, lru_.begin()});
-  }
+  return LruCache::lookup(key, fitness);
 }
 
 }  // namespace ehw::evo

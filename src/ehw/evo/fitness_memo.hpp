@@ -25,18 +25,13 @@
 // recompute (evaluation is deterministic), so memo-on and memo-off runs
 // are bit-identical — the equivalence suite asserts this, concurrently.
 //
-// Thread safety: one mutex around an LRU index of plain u64 -> Fitness
-// entries. Lookups copy the value out under the lock; there is no
-// compile-outside-the-lock phase (values are 8 bytes, not compiled
-// programs), which keeps the critical section tens of nanoseconds.
+// Storage is common/lru.hpp's LruCache over plain u64 -> Fitness
+// entries: one mutex, and a lookup copies the 8-byte value out under it.
+// Capacity 0 disables the memo (every lookup misses, nothing is stored).
 
 #include <cstdint>
-#include <list>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
+#include "ehw/common/lru.hpp"
 #include "ehw/common/types.hpp"
 
 namespace ehw::evo {
@@ -48,64 +43,19 @@ struct BatchMemoStats {
   std::uint64_t misses = 0;
 };
 
-struct FitnessMemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  [[nodiscard]] double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
+using FitnessMemoStats = LruStats;
 
-class FitnessMemo {
+/// Memoized fitness by key. snapshot() lists entries most recent first
+/// for warm-state persistence (keys are content hashes, so a snapshot
+/// taken by one daemon incarnation is valid for the next), and preload()
+/// seeds a fresh memo from it.
+class FitnessMemo : public LruCache<std::uint64_t, Fitness> {
  public:
-  /// `capacity` is the entry cap (LRU eviction beyond it); 0 disables the
-  /// memo (every lookup misses, nothing is stored).
-  explicit FitnessMemo(std::size_t capacity) : capacity_(capacity) {}
-
-  FitnessMemo(const FitnessMemo&) = delete;
-  FitnessMemo& operator=(const FitnessMemo&) = delete;
+  using LruCache::LruCache;
 
   /// True (and fills `fitness`) when `key` is memoized. Counts the
   /// hit/miss and refreshes LRU recency on hit.
   [[nodiscard]] bool lookup(std::uint64_t key, Fitness* fitness);
-
-  /// Records an evaluated fitness (no-op when disabled). Overwrites an
-  /// existing entry with the identical value — evaluation is
-  /// deterministic, so a key can never map to two fitnesses.
-  void store(std::uint64_t key, Fitness fitness);
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] FitnessMemoStats stats() const;
-  void clear();
-
-  /// Entries in LRU order (most recent first), for warm-state
-  /// persistence: keys are content hashes, so a snapshot taken on one
-  /// daemon incarnation is valid for the next.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, Fitness>> snapshot()
-      const;
-
-  /// Seeds the memo from a prior snapshot. Inserted oldest-first so the
-  /// resulting LRU order matches the snapshot's; entries beyond capacity
-  /// (and all entries when disabled) are dropped. Does not count as
-  /// hits/misses.
-  void preload(const std::vector<std::pair<std::uint64_t, Fitness>>& entries);
-
- private:
-  struct Entry {
-    Fitness fitness = kInvalidFitness;
-    std::list<std::uint64_t>::iterator lru_pos;
-  };
-
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<std::uint64_t> lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, Entry> index_;
-  FitnessMemoStats stats_;
 };
 
 }  // namespace ehw::evo

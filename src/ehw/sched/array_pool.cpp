@@ -91,41 +91,35 @@ void MissionRunner::notify_wave() {
 
 // --- MissionContext ---------------------------------------------------------
 
-MissionContext::MissionContext(JobConfig job, const PoolConfig& pool_config,
-                               CompiledArrayCache* cache,
-                               evo::FitnessMemo* memo, MissionRunner* runner,
-                               ArrayPool* pool, std::uint64_t job_id)
+MissionContext::MissionContext(JobConfig job, ArrayPool& pool,
+                               CompiledArrayCache& cache,
+                               evo::FitnessMemo& memo, MissionRunner& runner,
+                               std::uint64_t job_id)
     : job_(std::move(job)),
+      pool_(pool),
       cache_(cache),
       runner_(runner),
-      pool_(pool),
       job_id_(job_id) {
-  wave_memo_.memo = memo;
+  wave_memo_.memo = &memo;
   platform::PlatformConfig pc;
   pc.num_arrays = job_.lanes;
-  pc.shape = pool_config.shape;
-  pc.clock_mhz = pool_config.clock_mhz;
-  pc.line_width = pool_config.line_width;
-  pc.seed = job_.platform_seed;
-  pc.enable_trace = job_.enable_trace;
-  pc.pool = pool_config.host_pool;
+  pc.line_width = pool.config().line_width;
+  pc.pool = pool.config().host_pool;
   platform_ = std::make_unique<platform::EvolvablePlatform>(pc);
   lanes_.resize(job_.lanes);
   for (std::size_t i = 0; i < job_.lanes; ++i) lanes_[i] = i;
 }
 
 void MissionContext::check_cancelled() const {
-  if (runner_ != nullptr && runner_->cancel_requested()) {
-    throw MissionCancelled();
-  }
+  if (runner_.cancel_requested()) throw MissionCancelled();
 }
 
 bool MissionContext::preempt_requested() const noexcept {
-  return runner_ != nullptr && runner_->preempt_requested();
+  return runner_.preempt_requested();
 }
 
-MissionImagesCache* MissionContext::images_cache() noexcept {
-  return pool_ != nullptr ? pool_->images_cache() : nullptr;
+MissionImagesCache& MissionContext::images_cache() noexcept {
+  return pool_.images_cache();
 }
 
 platform::CompiledLane MissionContext::compile_cached(std::size_t lane) {
@@ -140,15 +134,8 @@ platform::CompiledLane MissionContext::compile_cached(std::size_t lane) {
   const std::uint64_t key =
       hash_mix(platform_->configuration_fingerprint(lane),
                configured.has_value() ? configured->hash() : 0);
-  if (cache_ == nullptr) {
-    ++misses_;
-    EHW_TRACE_SPAN("compile");
-    return {std::make_shared<const pe::CompiledArray>(
-                platform_->compile_array(lane)),
-            key};
-  }
   bool hit = false;
-  auto compiled = cache_->get_or_compile(
+  auto compiled = cache_.get_or_compile(
       key,
       [this, lane] {
         // Span inside the factory: cache hits cost no clock reads, and
@@ -171,18 +158,16 @@ platform::WaveOutcome MissionContext::run_wave(
     const img::Image& compare, sim::SimTime barrier) {
   EHW_TRACE_SPAN("wave");
   check_cancelled();
-  if (pool_ != nullptr) pool_->poll_wave_faults(job_id_);
+  pool_.poll_wave_faults(job_id_);
   // The frame-set id is recomputed per wave from the actual frame
   // contents (cascade stages swap inputs mid-mission); hashing two
   // frames costs a fraction of evaluating lambda candidates on them.
-  if (wave_memo_.memo != nullptr) {
-    wave_memo_.frame_set_id = evo::frame_set_id(input, compare);
-  }
+  wave_memo_.frame_set_id = evo::frame_set_id(input, compare);
   platform::WaveOutcome outcome = platform::evaluate_offspring_wave(
       *platform_, offspring, wave_lanes, input, compare, barrier,
       [this](std::size_t lane) { return compile_cached(lane); },
       &wave_memo_);
-  if (runner_ != nullptr) runner_->notify_wave();
+  runner_.notify_wave();
   return outcome;
 }
 
@@ -190,14 +175,10 @@ platform::WaveOutcome MissionContext::run_wave(
 
 ArrayPool::ArrayPool(PoolConfig config)
     : config_(config),
-      workers_(config.workers != nullptr ? config.workers
-                                         : &WorkStealPool::shared()),
       cache_(config.cache_capacity),
       memo_(config.fitness_memo_capacity),
-      images_cache_(config.mission_images_capacity != 0
-                        ? std::make_unique<MissionImagesCache>(
-                              config.mission_images_capacity)
-                        : nullptr),
+      images_cache_(std::make_unique<MissionImagesCache>(
+          config.mission_images_capacity)),
       slots_(config.num_arrays),
       free_arrays_(config.num_arrays) {
   EHW_REQUIRE(config_.num_arrays > 0, "pool needs at least one array");
@@ -290,7 +271,7 @@ void ArrayPool::admit_locked(std::vector<FailedStart>& failures) {
       // shared work-stealing core. A job admitted from a finishing
       // job's worker lands on that worker's own deque and runs next,
       // cache-warm; idle workers steal it otherwise.
-      workers_->submit([this, job] { run_job(job); });
+      WorkStealPool::shared().submit([this, job] { run_job(job); });
     } catch (const std::exception& e) {
       // Dispatch failure (allocation) must not strand the lease
       // (hanging wait_all) or escape into std::terminate: roll back and
@@ -350,10 +331,8 @@ void ArrayPool::run_job(Job* job) {
     // Constructed INSIDE the try: platform construction can throw (bad
     // fabric parameters, allocation), and a poison job must become a
     // failed result — never an exception escaping into the worker.
-    MissionContext context(
-        job->config, config_, config_.cache_capacity > 0 ? &cache_ : nullptr,
-        config_.fitness_memo_capacity > 0 ? &memo_ : nullptr,
-        job->runner.get(), this, job->id);
+    MissionContext context(job->config, *this, cache_, memo_, *job->runner,
+                           job->id);
     // The collector rides the worker thread for the body's whole run, so
     // every EHW_TRACE_SPAN fired below (compile, wave, wave_eval,
     // memo_lookup, ...) lands in this job's phase table even with the
@@ -427,7 +406,7 @@ void ArrayPool::run_job(Job* job) {
     publish_stats_locked();
   }
   // Wake result() waiters only after the pool's books reflect the job —
-  // a caller returning from result() may immediately read pool_stats()
+  // a caller returning from result() may immediately read quick_stats()
   // or array_health() and must see the completed state, not a snapshot
   // from mid-teardown. finish() is called outside mutex_ (it takes the
   // runner's own lock and may run user completion paths).
@@ -635,23 +614,6 @@ void ArrayPool::watchdog_loop() {
   }
 }
 
-ArrayPool::PoolStats ArrayPool::pool_stats() const {
-  std::lock_guard lock(mutex_);
-  PoolStats stats;
-  stats.num_arrays = config_.num_arrays;
-  stats.free_arrays = free_arrays_;
-  stats.quarantined = quarantined_;
-  stats.running = running_;
-  stats.queued = queue_.size();
-  stats.submitted = submitted_;
-  stats.done = done_;
-  stats.failed = failed_;
-  stats.cancelled = cancelled_;
-  stats.preempted = preempted_;
-  stats.deadline_expired = deadline_expired_;
-  return stats;
-}
-
 void ArrayPool::publish_stats_locked() const noexcept {
   mirror_.free_arrays.store(free_arrays_, std::memory_order_relaxed);
   mirror_.quarantined.store(quarantined_, std::memory_order_relaxed);
@@ -780,7 +742,7 @@ ArrayPool::WarmLoadStats ArrayPool::import_warm_state(const Json& state) {
     }
   }
   memo_.preload(entries);
-  loaded.memo_loaded = entries.size();
+  loaded.memo_loaded = memo_.size();
   return loaded;
 }
 

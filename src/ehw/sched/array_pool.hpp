@@ -23,10 +23,14 @@
 // fan out over PoolConfig.host_pool), the compiled-array cache — keyed
 // by configuration fingerprint (genotype + defect map); every candidate
 // is fingerprinted and looked up there, and compiled on a miss, which on
-// the benchmark workloads is every lookup — and the fitness memo, which
+// the benchmark workloads is every lookup — the fitness memo, which
 // then skips frame streaming entirely for (candidate, frame-set) pairs
-// any mission already measured. Cache and memo warmth affect host speed
-// only, never simulated results.
+// any mission already measured, and the mission-frame cache. Cache and
+// memo warmth affect host speed only, never simulated results.
+//
+// The pool always owns all three tables and hands every mission its
+// cache and memo; each is a common/lru.hpp table, whose capacity 0 (from
+// PoolConfig) is the only way to turn it off.
 //
 // Unit of work: the PR-2 wave protocol. Drivers hold a
 // platform::WaveExecutor; the pool's MissionContext implements it by
@@ -70,9 +74,9 @@ namespace ehw::sched {
 struct PoolConfig {
   /// Arrays in the pool (the schedulable capacity).
   std::size_t num_arrays = 8;
-  /// Fabric parameters every leased platform slice is built with.
-  fpga::ArrayShape shape{4, 4};
-  double clock_mhz = 100.0;
+  /// Line width every leased platform slice is built with; the rest of
+  /// the fabric takes platform::PlatformConfig's defaults, as standalone
+  /// runs do.
   std::size_t line_width = 128;
   /// Compiled-array cache entries shared by every mission (0 disables).
   std::size_t cache_capacity = 512;
@@ -93,11 +97,6 @@ struct PoolConfig {
   ThreadPool* host_pool = nullptr;
   /// Cap on simultaneously running jobs; 0 = bounded by arrays only.
   std::size_t max_concurrent_jobs = 0;
-  /// Execution core job bodies run on; nullptr = the process-shared
-  /// WorkStealPool::shared(). Every pool in a process shares that
-  /// instance, so a host never runs more job threads than cores no
-  /// matter how many pools it builds.
-  WorkStealPool* workers = nullptr;
 };
 
 struct JobConfig {
@@ -106,11 +105,6 @@ struct JobConfig {
   std::size_t lanes = 1;
   /// Higher admits earlier (see JobQueue for the fairness rules).
   int priority = 0;
-  /// Seed of the leased fabric (fault-injection streams etc.); matches
-  /// the standalone PlatformConfig default so pooled and standalone runs
-  /// of the same mission see identical hardware.
-  std::uint64_t platform_seed = 0x13572468ACE02468ULL;
-  bool enable_trace = false;
   /// Wall-clock budget once RUNNING (0 = none). A job past its deadline
   /// is expired by the pool watchdog at its next wave boundary and
   /// finishes kFailed with a "deadline exceeded" error.
@@ -301,25 +295,23 @@ class MissionContext final : public platform::WaveExecutor {
   /// this at generation boundaries (via CheckpointPolicy.should_preempt).
   [[nodiscard]] bool preempt_requested() const noexcept;
 
-  /// The pool's warm mission-frame cache (nullptr for poolless contexts
-  /// or when the pool disabled it).
-  [[nodiscard]] MissionImagesCache* images_cache() noexcept;
+  /// The pool's warm mission-frame cache.
+  [[nodiscard]] MissionImagesCache& images_cache() noexcept;
 
  private:
   friend class ArrayPool;
-  MissionContext(JobConfig job, const PoolConfig& pool_config,
-                 CompiledArrayCache* cache, evo::FitnessMemo* memo,
-                 MissionRunner* runner, ArrayPool* pool = nullptr,
-                 std::uint64_t job_id = 0);
+  MissionContext(JobConfig job, ArrayPool& pool, CompiledArrayCache& cache,
+                 evo::FitnessMemo& memo, MissionRunner& runner,
+                 std::uint64_t job_id);
 
   [[nodiscard]] platform::CompiledLane compile_cached(std::size_t lane);
 
   JobConfig job_;
   std::unique_ptr<platform::EvolvablePlatform> platform_;
   std::vector<std::size_t> lanes_;
-  CompiledArrayCache* cache_;  // nullptr-safe (uncached)
-  MissionRunner* runner_;
-  ArrayPool* pool_;        // nullptr-safe (no SEU polling)
+  ArrayPool& pool_;
+  CompiledArrayCache& cache_;
+  MissionRunner& runner_;
   std::uint64_t job_id_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -392,16 +384,14 @@ class ArrayPool {
   void poll_wave_faults(std::uint64_t job_id);
 
   /// Shared compiled-array cache traffic (all missions).
-  [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
+  [[nodiscard]] LruStats cache_stats() const { return cache_.stats(); }
 
   /// Shared fitness-memo traffic (all missions).
-  [[nodiscard]] evo::FitnessMemoStats memo_stats() const {
-    return memo_.stats();
-  }
+  [[nodiscard]] LruStats memo_stats() const { return memo_.stats(); }
 
-  /// The pool's warm mission-frame cache; nullptr when disabled.
-  [[nodiscard]] MissionImagesCache* images_cache() noexcept {
-    return images_cache_.get();
+  /// The pool's warm mission-frame cache.
+  [[nodiscard]] MissionImagesCache& images_cache() noexcept {
+    return *images_cache_;
   }
 
   // --- warm-state persistence ---------------------------------------------
@@ -416,14 +406,15 @@ class ArrayPool {
     std::size_t memo_loaded = 0;
   };
   /// Rehydrates from a prior export: memo entries are preloaded verbatim
-  /// (content-hash keyed). Any other format loads nothing.
+  /// (content-hash keyed), and `memo_loaded` is what the memo holds
+  /// afterwards — at most its capacity. Any other format loads nothing.
   WarmLoadStats import_warm_state(const Json& state);
 
   /// Currently running + queued job counts (snapshot).
   [[nodiscard]] std::size_t jobs_in_flight() const;
 
-  /// Consistent point-in-time view of the pool, for service /stats
-  /// endpoints and operator tooling.
+  /// The pool's counters, for service /stats endpoints and operator
+  /// tooling.
   struct PoolStats {
     std::size_t num_arrays = 0;
     std::size_t free_arrays = 0;
@@ -443,14 +434,14 @@ class ArrayPool {
       return done + failed + cancelled + preempted;
     }
   };
-  [[nodiscard]] PoolStats pool_stats() const;
 
   /// Lock-free snapshot from atomic mirrors published at the end of every
-  /// guarded state transition. Each counter is individually exact, but
-  /// the set is not a single consistent point in time the way
-  /// pool_stats() is — built for high-rate pollers (the daemon's stats
-  /// op, which the forwarder polls, and `mpa stats`) that must never
-  /// serialize against job bookkeeping under mutex_.
+  /// guarded state transition, so high-rate pollers (the daemon's stats
+  /// op, which the forwarder polls, and `mpa stats`) never serialize
+  /// against job bookkeeping under mutex_. Each counter is individually
+  /// exact; while jobs run, the set is not one point in time. A job's
+  /// counts are published before its runner finishes, so after
+  /// MissionRunner::result() or wait_all() they include it.
   [[nodiscard]] PoolStats quick_stats() const noexcept;
 
   // --- pool-level simulated schedule -------------------------------------
@@ -542,11 +533,10 @@ class ArrayPool {
   void publish_stats_locked() const noexcept;
 
   PoolConfig config_;
-  WorkStealPool* workers_;  // resolved: config_.workers or the shared core
   CompiledArrayCache cache_;
   evo::FitnessMemo memo_;
   /// unique_ptr: MissionImagesCache lives a layer above (missions.hpp),
-  /// only forward-declared here; nullptr when capacity is 0.
+  /// only forward-declared here. Never null.
   std::unique_ptr<MissionImagesCache> images_cache_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;

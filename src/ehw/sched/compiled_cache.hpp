@@ -12,42 +12,27 @@
 // concurrently evaluating missions; eviction only drops the cache's
 // reference, never an array a wave is still streaming through.
 //
-// Thread safety: the index is mutex-guarded; compilation runs OUTSIDE the
-// lock so a slow compile never serializes unrelated missions. Two threads
-// missing the same key may both compile — the first insert wins and the
-// loser adopts it, keeping every caller behaviourally identical.
+// Storage, locking and counters are common/lru.hpp's LruCache:
+// compilation runs OUTSIDE the lock so a slow compile never serializes
+// unrelated missions, and when two threads compile the same key the first
+// insert wins and both get it. Capacity 0 disables caching (every lookup
+// compiles and counts a miss).
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
+#include "ehw/common/lru.hpp"
 #include "ehw/pe/compiled.hpp"
 
 namespace ehw::sched {
 
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  [[nodiscard]] double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
+using CacheStats = LruStats;
 
-class CompiledArrayCache {
+class CompiledArrayCache
+    : public LruCache<std::uint64_t, std::shared_ptr<const pe::CompiledArray>> {
  public:
-  /// `capacity` is the entry cap (LRU eviction beyond it); 0 disables
-  /// caching entirely (every lookup compiles and counts a miss).
-  explicit CompiledArrayCache(std::size_t capacity) : capacity_(capacity) {}
-
-  CompiledArrayCache(const CompiledArrayCache&) = delete;
-  CompiledArrayCache& operator=(const CompiledArrayCache&) = delete;
+  using LruCache::LruCache;
 
   using CompileFn = std::function<pe::CompiledArray()>;
 
@@ -55,24 +40,14 @@ class CompiledArrayCache {
   /// inserts it (evicting the least-recently-used entry at capacity) and
   /// returns it. `was_hit` (optional) reports which path was taken.
   [[nodiscard]] std::shared_ptr<const pe::CompiledArray> get_or_compile(
-      std::uint64_t key, const CompileFn& compile, bool* was_hit = nullptr);
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] CacheStats stats() const;
-  void clear();
-
- private:
-  struct Entry {
-    std::shared_ptr<const pe::CompiledArray> value;
-    std::list<std::uint64_t>::iterator lru_pos;
-  };
-
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<std::uint64_t> lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, Entry> index_;
-  CacheStats stats_;
+      std::uint64_t key, const CompileFn& compile, bool* was_hit = nullptr) {
+    return get_or_make(
+        key,
+        [&compile] {
+          return std::make_shared<const pe::CompiledArray>(compile());
+        },
+        was_hit);
+  }
 };
 
 }  // namespace ehw::sched

@@ -209,9 +209,6 @@ MissionImages make_mission_images(const MissionSpec& spec) {
   return images;
 }
 
-MissionImagesCache::MissionImagesCache(std::size_t capacity)
-    : capacity_(capacity) {}
-
 MissionImagesCache::Key MissionImagesCache::key_of(const MissionSpec& spec) {
   std::uint64_t noise_bits = 0;
   static_assert(sizeof(noise_bits) == sizeof(spec.noise));
@@ -220,41 +217,18 @@ MissionImagesCache::Key MissionImagesCache::key_of(const MissionSpec& spec) {
           spec.seed};
 }
 
-std::shared_ptr<const MissionImages> MissionImagesCache::get_or_make(
-    const MissionSpec& spec) {
-  const Key key = key_of(spec);
-  if (capacity_ != 0) {
-    std::lock_guard lock(mutex_);
-    const auto found = entries_.find(key);
-    if (found != entries_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, found->second.lru_pos);
-      return found->second.images;
-    }
-    ++stats_.misses;
-  }
-  // Synthesis happens OUTSIDE the lock: a miss must not stall every other
-  // mission's warm lookup behind a multi-millisecond scene build.
-  auto images = std::make_shared<const MissionImages>(
-      make_mission_images(spec));
-  if (capacity_ != 0) {
-    std::lock_guard lock(mutex_);
-    if (entries_.find(key) == entries_.end()) {
-      lru_.push_front(key);
-      entries_.emplace(key, Entry{images, lru_.begin()});
-      while (entries_.size() > capacity_) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-        ++stats_.evictions;
-      }
-    }
-  }
-  return images;
+std::size_t MissionImagesCache::KeyHash::operator()(
+    const Key& key) const noexcept {
+  const auto& [kind, size, scene_seed, noise_bits, seed] = key;
+  return hash_mix(hash_mix(static_cast<std::uint64_t>(kind), size, scene_seed),
+                  noise_bits, seed);
 }
 
-MissionImagesCacheStats MissionImagesCache::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
+std::shared_ptr<const MissionImages> MissionImagesCache::get_or_make(
+    const MissionSpec& spec) {
+  return frames_.get_or_make(key_of(spec), [&spec] {
+    return std::make_shared<const MissionImages>(make_mission_images(spec));
+  });
 }
 
 JobConfig make_job_config(const MissionSpec& spec) {
@@ -358,7 +332,7 @@ ArrayPool::JobBody make_job_body(MissionSpec spec, MissionCheckpointing ck) {
     durable.should_preempt = [&context, upstream] {
       return context.preempt_requested() || (upstream && upstream());
     };
-    run_spec(context, spec, outcome, durable, context.images_cache());
+    run_spec(context, spec, outcome, durable, &context.images_cache());
     const bool preempted = spec.kind == MissionKind::kCascade
                                ? outcome.cascade.preempted
                                : outcome.intrinsic.preempted;
@@ -375,9 +349,9 @@ JobOutcome run_spec_standalone(const MissionSpec& spec, ThreadPool* host_pool,
                                const MissionCheckpointing& ck) {
   platform::PlatformConfig pc;
   pc.num_arrays = spec.lanes;
-  // Leave shape/clock/line_width/seed at their defaults — the same values
-  // PoolConfig/JobConfig default to, so this run is bit-comparable to the
-  // pooled one.
+  // Every other field keeps its default, as a leased slice does (and
+  // line_width matches PoolConfig's default), so this run is
+  // bit-comparable to the pooled one.
   pc.pool = host_pool;
   platform::EvolvablePlatform platform(pc);
   std::vector<std::size_t> lanes(spec.lanes);

@@ -22,14 +22,12 @@
 // asserts the two produce bit-identical results.
 
 #include <iosfwd>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "ehw/common/lru.hpp"
 #include "ehw/sched/array_pool.hpp"
 
 namespace ehw::sched {
@@ -96,11 +94,7 @@ struct MissionImages {
 };
 [[nodiscard]] MissionImages make_mission_images(const MissionSpec& spec);
 
-struct MissionImagesCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-};
+using MissionImagesCacheStats = LruStats;
 
 /// Pool-local LRU over make_mission_images: frames are a pure function of
 /// the frame-shaping spec fields (kind, size, scene seed, noise, seed),
@@ -108,34 +102,30 @@ struct MissionImagesCacheStats {
 /// the third kind of warm state (after the fitness memo and the compiled
 /// cache) that placement affinity keeps co-located. Entries are shared
 /// read-only snapshots; a hit serves bit-identical frames by
-/// construction. Thread-safe; capacity 0 disables.
+/// construction. Storage is common/lru.hpp's LruCache: synthesis runs
+/// outside its lock, and capacity 0 disables the cache.
 class MissionImagesCache {
  public:
-  explicit MissionImagesCache(std::size_t capacity);
+  explicit MissionImagesCache(std::size_t capacity) : frames_(capacity) {}
 
   /// The spec's frames, from cache when warm (computing and inserting on
   /// miss). Never returns nullptr.
   [[nodiscard]] std::shared_ptr<const MissionImages> get_or_make(
       const MissionSpec& spec);
 
-  [[nodiscard]] MissionImagesCacheStats stats() const;
+  [[nodiscard]] LruStats stats() const { return frames_.stats(); }
 
  private:
   /// Every field make_mission_images reads, compared exactly (noise by
-  /// bit pattern) — no hashing, so no collision risk.
+  /// bit pattern); the hash only picks the bucket, so no collision risk.
   using Key = std::tuple<int, std::size_t, std::uint64_t, std::uint64_t,
                          std::uint64_t>;
+  struct KeyHash {
+    [[nodiscard]] std::size_t operator()(const Key& key) const noexcept;
+  };
   [[nodiscard]] static Key key_of(const MissionSpec& spec);
 
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  struct Entry {
-    std::shared_ptr<const MissionImages> images;
-    std::list<Key>::iterator lru_pos;
-  };
-  std::map<Key, Entry> entries_;
-  std::list<Key> lru_;  // front = most recently used
-  MissionImagesCacheStats stats_;
+  LruCache<Key, std::shared_ptr<const MissionImages>, KeyHash> frames_;
 };
 
 /// Re-emits a spec as one manifest line ("<kind> <name> key=value ...",

@@ -19,9 +19,6 @@ std::uint64_t double_bits(double value) {
 
 }  // namespace
 
-PlacementPolicy::PlacementPolicy(std::size_t affinity_capacity)
-    : affinity_capacity_(affinity_capacity) {}
-
 std::uint64_t PlacementPolicy::fingerprint(const MissionSpec& spec) {
   // Every field that shapes the frame set (kind/size/scene_seed/noise +
   // the noise RNG's seed) or the candidate stream (ES parameters and
@@ -69,8 +66,8 @@ PlacementPolicy::Decision PlacementPolicy::place(
   std::lock_guard lock(mutex_);
   Decision decision;
   std::size_t warm_target = targets.size();  // sentinel: no affinity
-  const auto known = affinity_.find(key);
-  if (known != affinity_.end()) warm_target = known->second.target;
+  std::size_t* const known = affinity_.find(key);
+  if (known != nullptr) warm_target = *known;
 
   if (bound_.size() < targets.size()) bound_.resize(targets.size(), 0);
   bool found = false;
@@ -105,28 +102,16 @@ PlacementPolicy::Decision PlacementPolicy::place(
 
   // Remember (or move) the fingerprint's home: the warm state now grows
   // wherever the mission actually runs.
-  if (affinity_capacity_ != 0) {
-    if (known != affinity_.end()) {
-      if (known->second.target != decision.target) {
-        --bound_[known->second.target];
-        ++bound_[decision.target];
-        known->second.target = decision.target;
-      }
-      lru_.splice(lru_.begin(), lru_, known->second.lru_pos);
-    } else {
-      lru_.push_front(key);
-      affinity_.emplace(key, Entry{decision.target, lru_.begin()});
-      ++bound_[decision.target];
-      while (affinity_.size() > affinity_capacity_) {
-        const auto evicted = affinity_.find(lru_.back());
-        if (evicted != affinity_.end()) {
-          --bound_[evicted->second.target];
-          affinity_.erase(evicted);
-        }
-        lru_.pop_back();
-      }
-    }
+  if (known != nullptr) {
+    --bound_[*known];
+    *known = decision.target;
+  } else {
+    affinity_.insert(key, decision.target,
+                     [this](std::uint64_t, std::size_t evicted) {
+                       --bound_[evicted];
+                     });
   }
+  ++bound_[decision.target];
   return decision;
 }
 
@@ -145,14 +130,8 @@ bool PlacementPolicy::saturated(const std::vector<PlacementTarget>& targets,
 
 void PlacementPolicy::forget_target(std::size_t target) {
   std::lock_guard lock(mutex_);
-  for (auto it = affinity_.begin(); it != affinity_.end();) {
-    if (it->second.target == target) {
-      lru_.erase(it->second.lru_pos);
-      it = affinity_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  affinity_.erase_if(
+      [target](std::uint64_t, std::size_t home) { return home == target; });
   if (target < bound_.size()) bound_[target] = 0;
 }
 

@@ -26,15 +26,16 @@
 // randomness, no clocks. Ties break toward the target hosting the fewest
 // warm fingerprints (then the lowest index), so cold keys spread their
 // working sets across identical-looking targets instead of piling onto
-// index 0. Thread-safe (one mutex around the affinity table).
+// index 0. Thread-safe: one mutex covers scoring and the affinity table,
+// a common/lru.hpp LruMap of the kAffinityCapacity most recently placed
+// fingerprints.
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "ehw/common/lru.hpp"
 #include "ehw/sched/missions.hpp"
 
 namespace ehw::sched {
@@ -59,10 +60,10 @@ struct PlacementTarget {
 
 class PlacementPolicy {
  public:
-  /// `affinity_capacity` caps the fingerprint table (LRU eviction past
-  /// it); 0 disables locality tracking (pure capacity scoring).
-  explicit PlacementPolicy(std::size_t affinity_capacity = 4096);
+  /// Fingerprints the affinity table remembers (LRU eviction past it).
+  static constexpr std::size_t kAffinityCapacity = 4096;
 
+  PlacementPolicy() = default;
   PlacementPolicy(const PlacementPolicy&) = delete;
   PlacementPolicy& operator=(const PlacementPolicy&) = delete;
 
@@ -118,18 +119,12 @@ class PlacementPolicy {
       const std::vector<PlacementTarget>& targets, std::size_t lanes);
 
  private:
-  std::size_t affinity_capacity_;
   mutable std::mutex mutex_;
-  /// fingerprint -> (target index, LRU position).
-  struct Entry {
-    std::size_t target = 0;
-    std::list<std::uint64_t>::iterator lru_pos;
-  };
-  std::list<std::uint64_t> lru_;  // front = most recently placed
+  /// fingerprint -> target index, most recently placed first.
+  LruMap<std::uint64_t, std::size_t> affinity_{kAffinityCapacity};
   /// Warm fingerprints currently bound per target (tie-break metric);
   /// grown on demand to the largest target vector seen.
   std::vector<std::size_t> bound_;
-  std::unordered_map<std::uint64_t, Entry> affinity_;
   Stats stats_;
 };
 

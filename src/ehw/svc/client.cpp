@@ -199,12 +199,14 @@ Json Client::drain(bool wait) {
 std::string Client::watch(
     std::uint64_t job,
     const std::function<void(std::uint64_t waves)>& on_progress,
-    std::uint64_t every, const std::function<void()>& on_subscribed) {
+    std::uint64_t every, const std::function<void()>& on_subscribed,
+    std::uint64_t* done_waves) {
   Json request = Json::object();
   request.set("op", "watch");
   request.set("job", job);
   request.set("every", every);
-  return watch_request(std::move(request), on_progress, on_subscribed);
+  return watch_request(std::move(request), on_progress, on_subscribed,
+                       done_waves);
 }
 
 std::string Client::watch_by_name(
@@ -220,7 +222,7 @@ std::string Client::watch_by_name(
 
 std::string Client::watch_request(
     Json request, const std::function<void(std::uint64_t waves)>& on_progress,
-    const std::function<void()>& on_subscribed) {
+    const std::function<void()>& on_subscribed, std::uint64_t* done_waves) {
   if (!channel_.write_line(request.dump())) connection_lost();
   // The server subscribes before acking, so event frames may arrive
   // ahead of the ok-response; handle both in any order.
@@ -237,6 +239,10 @@ std::string Client::watch_request(
             static_cast<std::uint64_t>(frame.get_number("waves", 0)));
       } else if (event == "done") {
         final_status = frame.get_string("status", "?");
+        if (done_waves != nullptr) {
+          *done_waves =
+              static_cast<std::uint64_t>(frame.get_number("waves", 0));
+        }
         finished = true;
         if (acked) return final_status;
       }

@@ -118,12 +118,14 @@ class Client {
   /// server registers the subscription before acking, so every wave
   /// after `on_subscribed` fires (optional; e.g. a test barrier) is
   /// observed. Returns the final status name ("done", "failed",
-  /// "cancelled").
+  /// "cancelled"); `done_waves` (optional) receives the done frame's
+  /// waves.
   [[nodiscard]] std::string watch(
       std::uint64_t job,
       const std::function<void(std::uint64_t waves)>& on_progress = {},
       std::uint64_t every = 1,
-      const std::function<void()>& on_subscribed = {});
+      const std::function<void()>& on_subscribed = {},
+      std::uint64_t* done_waves = nullptr);
 
   /// watch keyed by mission name (latest submission with that name wins
   /// server-side) — the form that survives the job id changing across a
@@ -142,7 +144,8 @@ class Client {
   [[nodiscard]] Json named_op(const char* op, const std::string& name);
   [[nodiscard]] std::string watch_request(
       Json request, const std::function<void(std::uint64_t waves)>& on_progress,
-      const std::function<void()>& on_subscribed);
+      const std::function<void()>& on_subscribed,
+      std::uint64_t* done_waves = nullptr);
 
   LineChannel channel_;
   std::string server_version_;

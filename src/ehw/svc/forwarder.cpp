@@ -780,20 +780,34 @@ Json Forwarder::handle_status(const Json& request) {
   std::string error;
   const std::shared_ptr<Route> route = find_route(request, error);
   if (route == nullptr) return make_error(error, "unknown_job");
-  std::size_t backend;
-  std::uint64_t backend_job;
+  std::size_t backend = 0;
+  std::uint64_t backend_job = 0;
+  Json finished;  // the reply, once the route's answer is committed
+  std::string answer;
   {
+    // A finished route answers from its committed answer, with the
+    // fields a daemon's status carries for a finished job.
     std::lock_guard lock(state_mutex_);
     if (route->finished) {
-      Json response = make_ok();
-      response.set("job", route->id);
-      response.set("name", route->spec.name);
-      response.set("kind", sched::kind_name(route->spec.kind));
-      response.set("status", route->final_status);
-      return response;
+      finished = make_ok();
+      finished.set("job", route->id);
+      finished.set("name", route->spec.name);
+      finished.set("kind", sched::kind_name(route->spec.kind));
+      finished.set("lanes", static_cast<std::uint64_t>(route->spec.lanes));
+      finished.set("status", route->final_status);
+      finished.set("waves", route->final_waves);
+      answer = route->final_result;
+    } else {
+      backend = route->backend;
+      backend_job = route->backend_job;
     }
-    backend = route->backend;
-    backend_job = route->backend_job;
+  }
+  if (finished.is_object()) {
+    const Json committed = Json::parse(answer);
+    if (const Json* sim_ns = committed.get("sim_ns")) {
+      finished.set("sim_ns", *sim_ns);
+    }
+    return finished;
   }
   try {
     Json response = southbound(
@@ -867,6 +881,8 @@ Json Forwarder::handle_result(const Json& request) {
       // payload, so exactly one execution's result is ever observable.
       route->finished = true;
       route->final_status = response.get_string("status", "");
+      route->final_waves =
+          static_cast<std::uint64_t>(response.get_number("waves", 0));
       route->final_result = response.dump();
       state_cv_.notify_all();
       return response;
@@ -940,7 +956,10 @@ Json Forwarder::handle_list() {
       row.placed_epoch = route->placed_epoch;
       row.failovers = route->failovers;
       row.finished = route->finished;
-      if (route->finished) row.status = route->final_status;
+      if (route->finished) {
+        row.status = route->final_status;
+        row.waves = route->final_waves;
+      }
       rows.push_back(std::move(row));
     }
   }
@@ -1319,7 +1338,7 @@ std::optional<Json> Forwarder::handle_watch(
         frame.set("event", "done");
         frame.set("job", front_id);
         frame.set("status", route->final_status);
-        frame.set("waves", static_cast<std::uint64_t>(0));
+        frame.set("waves", route->final_waves);
         static_cast<void>(channel->write_line(frame.dump()));
         return std::nullopt;
       }
@@ -1328,6 +1347,7 @@ std::optional<Json> Forwarder::handle_watch(
       generation = route->generation;
     }
     std::string final_status;
+    std::uint64_t final_waves = 0;
     bool got = false;
     try {
       // Unbounded read, same as result: the stream follows the mission.
@@ -1344,7 +1364,7 @@ std::optional<Json> Forwarder::handle_watch(
               frame.set("waves", waves);
               static_cast<void>(channel->write_line(frame.dump()));
             },
-            every, [&] { send_ack(); });
+            every, [&] { send_ack(); }, &final_waves);
         client.set_recv_timeout(config_.io_timeout_ms);
         return status;
       });
@@ -1363,6 +1383,7 @@ std::optional<Json> Forwarder::handle_watch(
       frame.set("event", "done");
       frame.set("job", front_id);
       frame.set("status", final_status);
+      frame.set("waves", final_waves);
       static_cast<void>(channel->write_line(frame.dump()));
       return std::nullopt;
     }

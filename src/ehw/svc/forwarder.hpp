@@ -203,9 +203,12 @@ class Forwarder {
     /// no longer own this mission's answer. Guarded by state_mutex_.
     bool finished = false;
     std::string final_status;
+    /// Waves the mission ran, from the answering `result` reply (0 for a
+    /// failover dead end).
+    std::uint64_t final_waves = 0;
     /// The terminal answer as its serialized frame, parsed again for each
-    /// later `result` read: text holds a fraction of a Json tree's heap,
-    /// and the front keeps up to kMaxRoutes finished routes.
+    /// later `result` or `status` read: text holds a fraction of a Json
+    /// tree's heap, and the front keeps up to kMaxRoutes finished routes.
     std::string final_result;
     /// The optimistic capacity bump for this route was handed back: the
     /// route was seen terminal on its current incarnation (a failover

@@ -785,10 +785,10 @@ Json Server::handle_list() {
 }
 
 Json Server::handle_stats() {
-  // Lock-free mirrors, not pool_stats(): a stats poll (the forwarder
-  // hits this a few times a second per backend) must never serialize
-  // against job bookkeeping under the pool mutex.
-  const sched::CacheStats cache_stats = pool_.cache_stats();
+  // Pool counters from quick_stats()'s lock-free mirrors: a stats poll
+  // (the forwarder hits this a few times a second per backend) must
+  // never serialize against job bookkeeping under the pool mutex.
+  const LruStats cache_stats = pool_.cache_stats();
   const ServiceStats service = service_stats();
 
   Json cache = Json::object();
@@ -797,7 +797,7 @@ Json Server::handle_stats() {
   cache.set("evictions", cache_stats.evictions);
   cache.set("hit_rate", cache_stats.hit_rate());
 
-  const evo::FitnessMemoStats memo_stats = pool_.memo_stats();
+  const LruStats memo_stats = pool_.memo_stats();
   Json memo = Json::object();
   memo.set("hits", memo_stats.hits);
   memo.set("misses", memo_stats.misses);
@@ -963,9 +963,9 @@ void Server::refresh_gauges() {
   metrics_.gauge("mpa_quarantined_arrays")
       .set(static_cast<double>(pool.quarantined));
 
-  const sched::CacheStats cache = pool_.cache_stats();
+  const LruStats cache = pool_.cache_stats();
   metrics_.gauge("mpa_compiled_cache_hit_rate").set(cache.hit_rate());
-  const evo::FitnessMemoStats memo = pool_.memo_stats();
+  const LruStats memo = pool_.memo_stats();
   metrics_.gauge("mpa_fitness_memo_hit_rate").set(memo.hit_rate());
 
   const WorkStealPool::Stats steal = WorkStealPool::shared().stats();

@@ -208,6 +208,55 @@ TEST(Cluster, WatchStreamsThroughTheFront) {
   EXPECT_GT(last_waves.load(), 0u);
 }
 
+TEST(Cluster, FinishedRouteAnswersWithTheDaemonsFields) {
+  // The front's answers for a finished mission carry what its daemon's
+  // do: status lanes/waves/sim_ns, the list row's waves and the done
+  // frame's waves, on the live watch path and on a finished route.
+  Cluster cluster(1);
+  Client front = cluster.client();
+  const sched::MissionSpec spec = quick_spec("twelve", 5, 12);
+  const Client::Submitted submitted = front.submit(spec);
+  ASSERT_TRUE(submitted.ok);
+  std::uint64_t live_waves = 0;
+  EXPECT_EQ(front.watch(submitted.job, {}, 1, {}, &live_waves), "done");
+  const Json result = front.result(submitted.job);  // finishes the route
+  ASSERT_EQ(result.get_string("status", "?"), "done");
+
+  Client daemon(cluster.servers[0]->port());
+  const Json daemon_status = daemon.status_by_name(spec.name);
+  ASSERT_TRUE(daemon_status.get_bool("ok", false));
+  const double waves = daemon_status.get_number("waves", 0);
+  EXPECT_GT(waves, 0.0);
+  EXPECT_EQ(static_cast<double>(live_waves), waves);
+
+  const Json status = front.status(submitted.job);
+  ASSERT_TRUE(status.get_bool("ok", false));
+  EXPECT_EQ(status.get_string("status", "?"), "done");
+  for (const char* field : {"lanes", "waves", "sim_ns"}) {
+    ASSERT_NE(status.get(field), nullptr) << field;
+    ASSERT_NE(daemon_status.get(field), nullptr) << field;
+    EXPECT_EQ(status.get(field)->dump(), daemon_status.get(field)->dump())
+        << field;
+  }
+
+  const Json front_list = front.list();
+  const Json daemon_list = daemon.list();
+  ASSERT_EQ(front_list.get("jobs")->as_array().size(), 1u);
+  ASSERT_EQ(daemon_list.get("jobs")->as_array().size(), 1u);
+  EXPECT_EQ(front_list.get("jobs")->as_array()[0].get_number("waves", -1),
+            daemon_list.get("jobs")->as_array()[0].get_number("waves", -2));
+
+  std::uint64_t finished_waves = 0;
+  EXPECT_EQ(front.watch(submitted.job, {}, 1, {}, &finished_waves), "done");
+  EXPECT_EQ(static_cast<double>(finished_waves), waves);
+  std::uint64_t daemon_waves = 0;
+  EXPECT_EQ(daemon.watch(static_cast<std::uint64_t>(
+                             daemon_status.get_number("job", 0)),
+                         {}, 1, {}, &daemon_waves),
+            "done");
+  EXPECT_EQ(finished_waves, daemon_waves);
+}
+
 TEST(Cluster, RepeatFingerprintsGainAffinity) {
   Cluster cluster;
   Client client = cluster.client();

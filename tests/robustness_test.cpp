@@ -116,8 +116,8 @@ TEST(Robustness, JobBodyExceptionBecomesFailedResultNotCrash) {
   const auto next = pool.submit(make_job_config(spec), make_job_body(spec));
   static_cast<void>(next->result());
   EXPECT_EQ(next->status(), JobStatus::kDone);
-  EXPECT_EQ(pool.pool_stats().failed, 1u);
-  EXPECT_EQ(pool.pool_stats().done, 1u);
+  EXPECT_EQ(pool.quick_stats().failed, 1u);
+  EXPECT_EQ(pool.quick_stats().done, 1u);
 }
 
 TEST(Robustness, TaskThrowFaultFailsExactlyOneJobCleanly) {
@@ -151,7 +151,7 @@ TEST(Robustness, DeadlineExpiryFailsTheJobAndIsCounted) {
   EXPECT_EQ(runner->status(), JobStatus::kFailed);
   EXPECT_TRUE(runner->deadline_exceeded());
   EXPECT_FALSE(runner->result().error.empty());
-  EXPECT_EQ(pool.pool_stats().deadline_expired, 1u);
+  EXPECT_EQ(pool.quick_stats().deadline_expired, 1u);
 
   // A deadline generous enough never fires.
   MissionSpec relaxed = quick_spec("on-time", 8, 1);
@@ -172,7 +172,7 @@ TEST(Robustness, QuarantineFreeArrayShrinksCapacityAndHealRestoresIt) {
   EXPECT_EQ(pool.healthy_arrays(), 1u);
   EXPECT_EQ(pool.array_health()[0].state,
             ArrayPool::ArrayHealth::State::kQuarantined);
-  EXPECT_EQ(pool.pool_stats().quarantined, 1u);
+  EXPECT_EQ(pool.quick_stats().quarantined, 1u);
 
   // Degraded scheduling: a 1-lane job still runs on the healthy array.
   const MissionSpec spec = quick_spec("degraded", 8, 1);
@@ -200,7 +200,7 @@ TEST(Robustness, QuarantineLeasedArrayPreemptsItsJob) {
   EXPECT_EQ(pool.healthy_arrays(), 1u);
   EXPECT_EQ(pool.array_health()[id].state,
             ArrayPool::ArrayHealth::State::kQuarantined);
-  EXPECT_EQ(pool.pool_stats().preempted, 1u);
+  EXPECT_EQ(pool.quick_stats().preempted, 1u);
 }
 
 TEST(Robustness, QuarantineFailsQueuedJobsThatCanNeverFit) {
@@ -236,7 +236,7 @@ TEST(Robustness, SubmitBeyondHealthyCapacityFailsAtOnce) {
   EXPECT_NE(runner->result().error.find("insufficient healthy arrays"),
             std::string::npos)
       << runner->result().error;
-  EXPECT_EQ(pool.pool_stats().failed, 1u);
+  EXPECT_EQ(pool.quick_stats().failed, 1u);
 }
 
 // --- checkpoint-based migration ---------------------------------------------

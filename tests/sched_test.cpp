@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -72,6 +73,52 @@ TEST(CompiledCache, SharedInstanceAndCapacityZeroDisables) {
   EXPECT_NE(c.get(), d.get());
   EXPECT_EQ(off.stats().hits, 0u);
   EXPECT_EQ(off.stats().misses, 2u);
+}
+
+// --- MissionImagesCache -----------------------------------------------------
+
+MissionSpec frames_spec(std::uint64_t scene_seed) {
+  MissionSpec spec;
+  spec.kind = MissionKind::kDenoise;
+  spec.size = 16;
+  spec.scene_seed = scene_seed;
+  return spec;
+}
+
+TEST(MissionImagesCache, RepeatSpecsShareFramesAndTheLeastRecentIsRebuilt) {
+  MissionImagesCache cache(2);
+  const MissionSpec a = frames_spec(1);
+  const auto first = cache.get_or_make(a);
+  ASSERT_NE(first, nullptr);
+  const MissionImages fresh = make_mission_images(a);
+  EXPECT_EQ(first->train, fresh.train);
+  EXPECT_EQ(first->reference, fresh.reference);
+
+  // A repeat spec (another name, same frame-shaping fields) hits and
+  // gets the same frames object.
+  MissionSpec renamed = a;
+  renamed.name = "renamed";
+  EXPECT_EQ(cache.get_or_make(renamed).get(), first.get());
+  LruStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // A noise change is a different key, compared exactly.
+  MissionSpec noisier = a;
+  noisier.noise = std::nextafter(a.noise, 1.0);
+  EXPECT_NE(cache.get_or_make(noisier).get(), first.get());
+
+  // Past capacity the least recently used spec (a) is rebuilt: equal
+  // frames, new object.
+  static_cast<void>(cache.get_or_make(frames_spec(2)));  // evicts a
+  const auto rebuilt = cache.get_or_make(a);
+  EXPECT_NE(rebuilt.get(), first.get());
+  EXPECT_EQ(rebuilt->train, fresh.train);
+  EXPECT_EQ(rebuilt->reference, fresh.reference);
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.evictions, 2u);
 }
 
 // --- JobQueue ---------------------------------------------------------------
@@ -551,8 +598,8 @@ TEST(ArrayPool, RejectsOversizedLaneDemand) {
 }
 
 TEST(ArrayPool, QuickStatsMatchPoolStatsOnceQuiet) {
-  // The lock-free mirrors the stats op reads must agree with the
-  // mutex-guarded books once the pool is quiet.
+  // The lock-free mirrors are the pool's one counter read: once the pool
+  // is quiet they hold the exact books.
   PoolConfig config;
   config.num_arrays = 2;
   ArrayPool pool(config);
@@ -570,16 +617,17 @@ TEST(ArrayPool, QuickStatsMatchPoolStatsOnceQuiet) {
   }
   pool.wait_all();
   const ArrayPool::PoolStats quick = pool.quick_stats();
-  const ArrayPool::PoolStats slow = pool.pool_stats();
-  EXPECT_EQ(quick.num_arrays, slow.num_arrays);
-  EXPECT_EQ(quick.free_arrays, slow.free_arrays);
-  EXPECT_EQ(quick.running, slow.running);
-  EXPECT_EQ(quick.queued, slow.queued);
-  EXPECT_EQ(quick.submitted, slow.submitted);
-  EXPECT_EQ(quick.done, slow.done);
-  EXPECT_EQ(quick.failed, slow.failed);
-  EXPECT_EQ(slow.submitted, 3u);
-  EXPECT_EQ(slow.done, 3u);
+  EXPECT_EQ(quick.num_arrays, 2u);
+  EXPECT_EQ(quick.free_arrays, 2u);
+  EXPECT_EQ(quick.quarantined, 0u);
+  EXPECT_EQ(quick.running, 0u);
+  EXPECT_EQ(quick.queued, 0u);
+  EXPECT_EQ(quick.submitted, 3u);
+  EXPECT_EQ(quick.done, 3u);
+  EXPECT_EQ(quick.failed, 0u);
+  EXPECT_EQ(quick.cancelled, 0u);
+  EXPECT_EQ(quick.preempted, 0u);
+  EXPECT_EQ(quick.deadline_expired, 0u);
 }
 
 TEST(ArrayPool, WarmStateIsTheMemoOnly) {
@@ -616,6 +664,37 @@ TEST(ArrayPool, WarmStateIsTheMemoOnly) {
   Json v1 = exported;
   v1.set("format", "mpa-warm-v1");
   EXPECT_EQ(ArrayPool(config).import_warm_state(v1).memo_loaded, 0u);
+}
+
+TEST(ArrayPool, WarmImportReportsWhatTheMemoKept) {
+  PoolConfig config;
+  config.num_arrays = 2;
+  Json exported;
+  {
+    ArrayPool pool(config);
+    MissionSpec spec;
+    spec.kind = MissionKind::kDenoise;
+    spec.name = "warm";
+    spec.size = 16;
+    spec.generations = 10;
+    static_cast<void>(pool.submit(make_job_config(spec), make_job_body(spec)));
+    pool.wait_all();
+    exported = pool.export_warm_state();
+  }
+  const std::size_t entries = exported.get("memo")->as_array().size();
+  ASSERT_GT(entries, 16u);
+
+  // A memo smaller than the file keeps its newest entries and reports
+  // those, not the file's count.
+  PoolConfig small = config;
+  small.fitness_memo_capacity = 16;
+  ArrayPool kept(small);
+  EXPECT_EQ(kept.import_warm_state(exported).memo_loaded, 16u);
+  EXPECT_EQ(kept.export_warm_state().get("memo")->as_array().size(), 16u);
+
+  PoolConfig off = config;
+  off.fitness_memo_capacity = 0;
+  EXPECT_EQ(ArrayPool(off).import_warm_state(exported).memo_loaded, 0u);
 }
 
 TEST(Manifest, ParsesKindsAndRejectsMalformedLines) {

@@ -425,7 +425,7 @@ int cmd_batch(const Cli& cli) {
   }
   table.print(std::cout);
 
-  const sched::CacheStats cache = pool.cache_stats();
+  const LruStats cache = pool.cache_stats();
   std::printf(
       "pool: %zu arrays, %zu jobs | simulated makespan %.3f s "
       "(serialized %.3f s, speedup %.2fx, %.2f missions/sim-s)\n"
@@ -602,8 +602,8 @@ int cmd_serve(const Cli& cli) {
   server.stop();
 
   const svc::ServiceStats service = server.service_stats();
-  const sched::ArrayPool::PoolStats pool = server.pool().pool_stats();
-  const sched::CacheStats cache = server.pool().cache_stats();
+  const sched::ArrayPool::PoolStats pool = server.pool().quick_stats();
+  const LruStats cache = server.pool().cache_stats();
   std::printf(
       "mpa serve: drained after %llu missions (%llu done, %llu failed, "
       "%llu cancelled, %llu rejected) over %llu connections | cache %.1f%% "
