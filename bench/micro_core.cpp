@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "ehw/common/work_steal.hpp"
+#include "ehw/common/thread_pool.hpp"
 #include "ehw/sched/placement.hpp"
 #include "ehw/evo/batch.hpp"
 #include "ehw/evo/fitness.hpp"
@@ -204,12 +204,13 @@ void BM_FitnessMemoWarmReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_FitnessMemoWarmReplay)->Arg(9)->Arg(16);
 
-void BM_WorkStealDispatch(benchmark::State& state) {
-  // Dispatch cost of the shared execution core: N no-op job bodies
-  // through submit + drain. Compare BM_ThreadPerJobDispatch for what the
-  // scheduler paid per job before the work-stealing rewrite.
+void BM_ThreadPoolDispatch(benchmark::State& state) {
+  // Dispatch cost of the execution core: N no-op job bodies through
+  // ThreadPool::submit (futures dropped, as ArrayPool does) + drain.
+  // Compare BM_ThreadPerJobDispatch for what the scheduler paid per job
+  // when every job body had a thread of its own.
   const auto jobs = static_cast<std::size_t>(state.range(0));
-  WorkStealPool pool(2);
+  ThreadPool pool(2);
   for (auto _ : state) {
     std::atomic<std::size_t> done{0};
     for (std::size_t j = 0; j < jobs; ++j) {
@@ -221,10 +222,8 @@ void BM_WorkStealDispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs));
-  state.counters["steals"] =
-      static_cast<double>(pool.stats().stolen);
 }
-BENCHMARK(BM_WorkStealDispatch)->Arg(64);
+BENCHMARK(BM_ThreadPoolDispatch)->Arg(64);
 
 void BM_ThreadPerJobDispatch(benchmark::State& state) {
   // The pre-PR-5 execution model: one host thread created and joined per

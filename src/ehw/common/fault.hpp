@@ -2,7 +2,7 @@
 // Deterministic, seeded fault injection for robustness testing.
 //
 // A process-wide FaultPlan arms named injection sites spread across the
-// stack (socket I/O, journal fsync, checkpoint store, work-steal tasks,
+// stack (socket I/O, journal fsync, checkpoint store, pooled job bodies,
 // mid-mission lane SEUs). Each site carries a trigger rule evaluated on
 // every HIT (a call to should_fire at that site):
 //
@@ -43,7 +43,7 @@ enum class Site : std::uint8_t {
   kJournalFsync,       // journal append reports fsync failure
   kCheckpointIo,       // checkpoint store read/write fails
   kTaskThrow,          // a scheduled job task throws on entry
-  kTaskDelay,          // a work-steal task delayed by stall_ms
+  kTaskDelay,          // a pooled job body delayed by stall_ms on entry
   kLaneSeu,            // a leased array takes an SEU mid-mission
   kPollError,          // a forwarder backend stats poll fails outright
   kBackendHello,       // a backend identity probe (hello/epoch) fails

@@ -47,7 +47,8 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
+  static ThreadPool pool(
+      std::max<std::size_t>(2, std::thread::hardware_concurrency()));
   return pool;
 }
 

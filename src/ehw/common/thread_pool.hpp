@@ -12,8 +12,13 @@
 // contiguous chunk per worker, chunks are enqueued as plain
 // {function-pointer, context} records (no std::function or packaged_task
 // allocation per task), the caller runs the first chunk inline, and a
-// std::latch collects completion. submit() remains for the rare generic
-// one-off task.
+// std::latch collects completion. submit() is the generic one-off task:
+// sched::ArrayPool runs every mission job body as one on global().
+//
+// One FIFO queue that every worker pops: whichever worker is idle takes
+// the oldest task, so there is no per-worker backlog to rebalance, and a
+// queue operation's nanoseconds are nothing against a job body's
+// milliseconds.
 
 #include <condition_variable>
 #include <cstddef>
@@ -33,6 +38,8 @@ class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
+  /// Runs every queued task, including any that a running task submits
+  /// meanwhile, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -109,8 +116,14 @@ class ThreadPool {
     });
   }
 
-  /// Process-wide pool, sized to the machine. Benches and drivers share it
-  /// so we never oversubscribe the host.
+  /// Process-wide pool of max(2, hardware_concurrency) workers: the one
+  /// executor every sched::ArrayPool runs its job bodies on (benches
+  /// share it too). At least 2 so that one long job body cannot hold a
+  /// single-core host's only worker while the next admitted one waits.
+  /// A job body blocks in parallel_chunks on its mission's host pool, so
+  /// global() may never be that pool (ArrayPool refuses it as
+  /// PoolConfig::host_pool): every worker could be such a body, waiting
+  /// on chunks that no free worker is left to run.
   static ThreadPool& global();
 
  private:

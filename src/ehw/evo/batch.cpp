@@ -39,14 +39,6 @@ std::vector<Fitness> run_genotype_wave(std::size_t count,
 }  // namespace
 
 std::vector<Fitness> batch_fitness(
-    const std::vector<pe::CompiledArray>& compiled, const img::Image& input,
-    const img::Image& reference, ThreadPool* pool) {
-  return run_wave(compiled.size(), pool, [&](std::size_t i) {
-    return compiled[i].fitness_against(input, reference, nullptr);
-  });
-}
-
-std::vector<Fitness> batch_fitness(
     const std::vector<const pe::CompiledArray*>& compiled,
     const img::Image& input, const img::Image& reference, ThreadPool* pool) {
   return run_wave(compiled.size(), pool, [&](std::size_t i) {
@@ -56,21 +48,16 @@ std::vector<Fitness> batch_fitness(
 
 std::vector<Fitness> batch_fitness(
     const std::vector<const pe::CompiledArray*>& compiled,
-    const std::vector<std::uint64_t>& keys, FitnessMemo* memo,
+    const std::vector<std::uint64_t>& keys, FitnessMemo& memo,
     const img::Image& input, const img::Image& reference, ThreadPool* pool,
     BatchMemoStats* stats) {
   EHW_REQUIRE(keys.size() == compiled.size(), "one memo key per candidate");
-  if (memo == nullptr) {
-    if (stats != nullptr) stats->misses += compiled.size();
-    return batch_fitness(compiled, input, reference, pool);
-  }
-
   // Probe the memo first, then run the survivors as one smaller wave.
   std::vector<Fitness> fits(compiled.size(), kInvalidFitness);
   std::vector<std::size_t> miss;
   miss.reserve(compiled.size());
   for (std::size_t i = 0; i < compiled.size(); ++i) {
-    if (keys[i] == 0 || !memo->lookup(keys[i], &fits[i])) {
+    if (keys[i] == 0 || !memo.lookup(keys[i], &fits[i])) {
       miss.push_back(i);
     }
   }
@@ -86,7 +73,7 @@ std::vector<Fitness> batch_fitness(
       batch_fitness(views, input, reference, pool);
   for (std::size_t j = 0; j < miss.size(); ++j) {
     fits[miss[j]] = evaluated[j];
-    if (keys[miss[j]] != 0) memo->store(keys[miss[j]], evaluated[j]);
+    if (keys[miss[j]] != 0) memo.store(keys[miss[j]], evaluated[j]);
   }
   return fits;
 }

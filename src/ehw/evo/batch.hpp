@@ -24,14 +24,10 @@ namespace ehw::evo {
 /// Fitness of every candidate in `compiled` against streaming `input`
 /// through it and comparing to `reference`, dispatched whole-candidates-
 /// per-worker over `pool` (sequential when null). Results are in input
-/// order and bit-identical to evaluating each candidate alone.
-[[nodiscard]] std::vector<Fitness> batch_fitness(
-    const std::vector<pe::CompiledArray>& compiled, const img::Image& input,
-    const img::Image& reference, ThreadPool* pool = nullptr);
-
-/// Same wave over non-owning pointers — the form the scheduler's
-/// compiled-array cache feeds (cached candidates are shared across
-/// missions, so the wave must not copy or own them).
+/// order and bit-identical to evaluating each candidate alone. Non-owning
+/// pointers are the form the scheduler's compiled-array cache feeds
+/// (cached candidates are shared across missions, so the wave must not
+/// copy or own them).
 [[nodiscard]] std::vector<Fitness> batch_fitness(
     const std::vector<const pe::CompiledArray*>& compiled,
     const img::Image& input, const img::Image& reference,
@@ -41,12 +37,12 @@ namespace ehw::evo {
 /// frame-set id already mixed in (see FitnessMemo) — or 0 for "never
 /// memoize this one". Keyed candidates found in `memo` skip evaluation;
 /// the rest evaluate as one (smaller) wave and are stored. Results are
-/// bit-identical to the unmemoized overloads. `stats` (optional)
+/// bit-identical to the unmemoized overload. `stats` (optional)
 /// accumulates this wave's hit/miss counts; unkeyed candidates count as
 /// misses.
 [[nodiscard]] std::vector<Fitness> batch_fitness(
     const std::vector<const pe::CompiledArray*>& compiled,
-    const std::vector<std::uint64_t>& keys, FitnessMemo* memo,
+    const std::vector<std::uint64_t>& keys, FitnessMemo& memo,
     const img::Image& input, const img::Image& reference,
     ThreadPool* pool = nullptr, BatchMemoStats* stats = nullptr);
 

@@ -92,7 +92,8 @@ struct CheckpointPolicy {
   /// Asynchronous preemption: polled at every generation boundary; when
   /// it returns true the driver emits a final checkpoint (sink set) and
   /// returns its partial result with `preempted` set. This is how the
-  /// scheduler pulls a running mission off a quarantined slice.
+  /// scheduler pulls a running mission off a quarantined slice. The
+  /// scheduler's poll also throws from here to cancel the mission.
   std::function<bool()> should_preempt;
 
   [[nodiscard]] bool active() const noexcept {

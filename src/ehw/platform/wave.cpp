@@ -54,7 +54,7 @@ WaveOutcome evaluate_offspring_wave(EvolvablePlatform& platform,
       }
     }
     outcome.fitness =
-        evo::batch_fitness(views, keys, memo->memo, input, compare,
+        evo::batch_fitness(views, keys, *memo->memo, input, compare,
                            platform.pool(), &memo->stats);
   } else {
     if (memo != nullptr) memo->stats.misses += views.size();

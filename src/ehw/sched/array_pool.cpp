@@ -94,12 +94,14 @@ void MissionRunner::notify_wave() {
 MissionContext::MissionContext(JobConfig job, ArrayPool& pool,
                                CompiledArrayCache& cache,
                                evo::FitnessMemo& memo, MissionRunner& runner,
-                               std::uint64_t job_id)
+                               std::uint64_t job_id,
+                               std::chrono::steady_clock::time_point deadline)
     : job_(std::move(job)),
       pool_(pool),
       cache_(cache),
       runner_(runner),
-      job_id_(job_id) {
+      job_id_(job_id),
+      deadline_(deadline) {
   wave_memo_.memo = &memo;
   platform::PlatformConfig pc;
   pc.num_arrays = job_.lanes;
@@ -111,6 +113,9 @@ MissionContext::MissionContext(JobConfig job, ArrayPool& pool,
 }
 
 void MissionContext::check_cancelled() const {
+  if (job_.deadline_ms > 0 && std::chrono::steady_clock::now() >= deadline_) {
+    runner_.expire();
+  }
   if (runner_.cancel_requested()) throw MissionCancelled();
 }
 
@@ -182,18 +187,13 @@ ArrayPool::ArrayPool(PoolConfig config)
       slots_(config.num_arrays),
       free_arrays_(config.num_arrays) {
   EHW_REQUIRE(config_.num_arrays > 0, "pool needs at least one array");
+  EHW_REQUIRE(config_.host_pool != &ThreadPool::global(),
+              "host_pool must not be ThreadPool::global(), which runs the "
+              "job bodies");
   publish_stats_locked();  // no concurrency yet; seed the mirrors
 }
 
-ArrayPool::~ArrayPool() {
-  wait_all();
-  {
-    std::lock_guard lock(mutex_);
-    stopping_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
-}
+ArrayPool::~ArrayPool() { wait_all(); }
 
 std::shared_ptr<MissionRunner> ArrayPool::submit(JobConfig job, JobBody body) {
   EHW_REQUIRE(job.lanes >= 1 && job.lanes <= config_.num_arrays,
@@ -257,10 +257,8 @@ void ArrayPool::admit_locked(std::vector<FailedStart>& failures) {
     ++running_;
     ++pending_tasks_;
     if (job->config.deadline_ms > 0) {
-      job->has_deadline = true;
       job->deadline = std::chrono::steady_clock::now() +
                       std::chrono::milliseconds(job->config.deadline_ms);
-      ensure_watchdog_locked();
     }
     {
       std::lock_guard rlock(job->runner->mutex_);
@@ -268,10 +266,9 @@ void ArrayPool::admit_locked(std::vector<FailedStart>& failures) {
     }
     try {
       // No thread is created here: the body becomes a task on the
-      // shared work-stealing core. A job admitted from a finishing
-      // job's worker lands on that worker's own deque and runs next,
-      // cache-warm; idle workers steal it otherwise.
-      WorkStealPool::shared().submit([this, job] { run_job(job); });
+      // process-wide executor. Its future is dropped: run_job reports
+      // through the runner and pending_tasks_.
+      ThreadPool::global().submit([this, job] { run_job(job); });
     } catch (const std::exception& e) {
       // Dispatch failure (allocation) must not strand the lease
       // (hanging wait_all) or escape into std::terminate: roll back and
@@ -306,6 +303,7 @@ void ArrayPool::finish_failed(std::vector<FailedStart>& failures) {
 }
 
 void ArrayPool::run_job(Job* job) {
+  fault::maybe_stall(fault::Site::kTaskDelay);
   JobOutcome outcome;
   JobStatus status = JobStatus::kDone;
   sim::SimTime duration = 0;
@@ -332,7 +330,7 @@ void ArrayPool::run_job(Job* job) {
     // fabric parameters, allocation), and a poison job must become a
     // failed result — never an exception escaping into the worker.
     MissionContext context(job->config, *this, cache_, memo_, *job->runner,
-                           job->id);
+                           job->id, job->deadline);
     // The collector rides the worker thread for the body's whole run, so
     // every EHW_TRACE_SPAN fired below (compile, wave, wave_eval,
     // memo_lookup, ...) lands in this job's phase table even with the
@@ -387,6 +385,7 @@ void ArrayPool::run_job(Job* job) {
       case JobStatus::kQueued:
       case JobStatus::kRunning: break;  // unreachable terminal states
     }
+    if (job->runner->deadline_exceeded()) ++deadline_expired_;
     // Release the lease; an array flagged for quarantine mid-flight
     // leaves service here instead of returning to the free set.
     for (const std::size_t id : job->leased) {
@@ -451,7 +450,7 @@ std::size_t ArrayPool::jobs_in_flight() const {
   return queue_.size() + running_;
 }
 
-// --- quarantine and the deadline watchdog -----------------------------------
+// --- quarantine -------------------------------------------------------------
 
 void ArrayPool::quarantine_locked(std::size_t id,
                                   std::vector<FailedStart>& failures) {
@@ -573,47 +572,6 @@ void ArrayPool::poll_wave_faults(std::uint64_t job_id) {
   finish_failed(failures);
 }
 
-void ArrayPool::ensure_watchdog_locked() {
-  if (watchdog_.joinable()) {
-    watchdog_cv_.notify_all();
-    return;
-  }
-  watchdog_ = std::thread([this] { watchdog_loop(); });
-}
-
-void ArrayPool::watchdog_loop() {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    if (stopping_) return;
-    // Nearest pending deadline among running jobs.
-    bool any = false;
-    std::chrono::steady_clock::time_point next{};
-    const auto now = std::chrono::steady_clock::now();
-    for (auto& [id, job] : jobs_) {
-      if (job->finished || !job->has_deadline || job->deadline_fired ||
-          job->leased.empty()) {
-        continue;
-      }
-      if (job->deadline <= now) {
-        job->deadline_fired = true;
-        ++deadline_expired_;
-        job->runner->expire();
-        continue;
-      }
-      if (!any || job->deadline < next) {
-        any = true;
-        next = job->deadline;
-      }
-    }
-    publish_stats_locked();  // deadline_expired_ may have advanced
-    if (any) {
-      watchdog_cv_.wait_until(lock, next);
-    } else {
-      watchdog_cv_.wait(lock);
-    }
-  }
-}
-
 void ArrayPool::publish_stats_locked() const noexcept {
   mirror_.free_arrays.store(free_arrays_, std::memory_order_relaxed);
   mirror_.quarantined.store(quarantined_, std::memory_order_relaxed);
@@ -651,7 +609,7 @@ ArrayPool::ScheduleReport ArrayPool::simulated_schedule() {
   // durations: a deterministic event-driven list schedule (events ordered
   // by end time, ties by submission id) on num_arrays arrays.
   ScheduleReport report;
-  JobQueue queue;  // fresh aging state, default policy parameters
+  JobQueue queue;  // fresh aging state, the same policy
   std::vector<const Job*> jobs;  // ascending id == submission order
   {
     std::lock_guard lock(mutex_);

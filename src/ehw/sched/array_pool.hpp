@@ -17,16 +17,17 @@
 // results BIT-IDENTICAL to standalone runs regardless of host
 // interleaving: no simulated state is shared between jobs.
 //
-// What IS shared: the host execution core (job bodies run as tasks on a
-// work-stealing WorkStealPool bounded by hardware concurrency — no
-// thread is created or destroyed per job; pixel kernels may additionally
-// fan out over PoolConfig.host_pool), the compiled-array cache — keyed
-// by configuration fingerprint (genotype + defect map); every candidate
-// is fingerprinted and looked up there, and compiled on a miss, which on
-// the benchmark workloads is every lookup — the fitness memo, which
-// then skips frame streaming entirely for (candidate, frame-set) pairs
-// any mission already measured, and the mission-frame cache. Cache and
-// memo warmth affect host speed only, never simulated results.
+// What IS shared: the host execution core (job bodies run as tasks on
+// ThreadPool::global(), max(2, hardware concurrency) workers — the pool
+// owns no thread, and none is created or destroyed per job; candidate
+// evaluation may additionally fan out over PoolConfig.host_pool), the
+// compiled-array cache — keyed by configuration fingerprint (genotype +
+// defect map); every candidate is fingerprinted and looked up there, and
+// compiled on a miss, which on the benchmark workloads is every lookup —
+// the fitness memo, which then skips frame streaming entirely for
+// (candidate, frame-set) pairs any mission already measured, and the
+// mission-frame cache. Cache and memo warmth affect host speed only,
+// never simulated results.
 //
 // The pool always owns all three tables and hands every mission its
 // cache and memo; each is a common/lru.hpp table, whose capacity 0 (from
@@ -35,7 +36,8 @@
 // Unit of work: the PR-2 wave protocol. Drivers hold a
 // platform::WaveExecutor; the pool's MissionContext implements it by
 // running evaluate_offspring_wave with the cache's compile hook, checking
-// cancellation at wave boundaries and counting progress.
+// cancellation (and the job's own deadline) at wave boundaries and
+// counting progress.
 //
 // Pool-level simulated time: each job's internal timeline starts at 0
 // (exactly like a standalone run); the pool separately replays its own
@@ -54,12 +56,10 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ehw/common/json.hpp"
 #include "ehw/common/thread_pool.hpp"
-#include "ehw/common/work_steal.hpp"
 #include "ehw/evo/fitness_memo.hpp"
 #include "ehw/obs/trace.hpp"
 #include "ehw/platform/cascade_evolution.hpp"
@@ -91,9 +91,10 @@ struct PoolConfig {
   /// Host thread pool handed to each mission's platform for intra-wave
   /// candidate fan-out. nullptr keeps candidate evaluation
   /// single-threaded inside each mission — mission-level concurrency
-  /// still comes from the pool's per-job threads. Must NOT be a pool any
-  /// job body itself runs on (its workers would deadlock waiting on
-  /// their own fan-out).
+  /// still comes from the job bodies running side by side on
+  /// ThreadPool::global(). Must not be ThreadPool::global() itself (the
+  /// constructor refuses it): bodies blocked on their own fan-out could
+  /// hold every worker its chunks need.
   ThreadPool* host_pool = nullptr;
   /// Cap on simultaneously running jobs; 0 = bounded by arrays only.
   std::size_t max_concurrent_jobs = 0;
@@ -105,9 +106,10 @@ struct JobConfig {
   std::size_t lanes = 1;
   /// Higher admits earlier (see JobQueue for the fairness rules).
   int priority = 0;
-  /// Wall-clock budget once RUNNING (0 = none). A job past its deadline
-  /// is expired by the pool watchdog at its next wave boundary and
-  /// finishes kFailed with a "deadline exceeded" error.
+  /// Wall-clock budget from admission (0 = none). The job checks it at
+  /// each cancellation point (every wave and generation boundary); past
+  /// it, the job expires there and finishes kFailed with a "deadline
+  /// exceeded" error.
   std::uint64_t deadline_ms = 0;
 };
 
@@ -180,9 +182,10 @@ class MissionRunner {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] JobStatus status() const;
 
-  /// Requests cooperative cancellation: the job stops at its next wave
-  /// boundary (or MissionContext::check_cancelled call). No-op once the
-  /// job finished.
+  /// Requests cooperative cancellation: the job stops at its next
+  /// cancellation point (MissionContext::check_cancelled: every wave and,
+  /// for pooled mission bodies, every generation boundary). No-op once
+  /// the job finished.
   void cancel() noexcept { cancel_.store(true, std::memory_order_relaxed); }
 
   /// Requests cooperative preemption: the job body stops at its next
@@ -196,8 +199,8 @@ class MissionRunner {
     return preempt_.load(std::memory_order_relaxed);
   }
 
-  /// True once the pool watchdog expired this job's deadline (the
-  /// cancellation that follows is reported kFailed, not kCancelled).
+  /// True once the job found its deadline passed at a cancellation
+  /// point; such a job always finishes kFailed, not kCancelled.
   [[nodiscard]] bool deadline_exceeded() const noexcept {
     return deadline_exceeded_.load(std::memory_order_relaxed);
   }
@@ -234,7 +237,8 @@ class MissionRunner {
   [[nodiscard]] bool cancel_requested() const noexcept {
     return cancel_.load(std::memory_order_relaxed);
   }
-  /// Watchdog path: flags the deadline, then cancels cooperatively.
+  /// Deadline path, called from the job's own check_cancelled: flags
+  /// the deadline, then requests the cancellation that check throws.
   void expire() noexcept {
     deadline_exceeded_.store(true, std::memory_order_relaxed);
     cancel();
@@ -275,8 +279,11 @@ class MissionContext final : public platform::WaveExecutor {
                                  const img::Image& compare,
                                  sim::SimTime barrier) override;
 
-  /// Cooperative cancellation point for job bodies with long phases
-  /// between waves. Throws MissionCancelled when cancel() was requested.
+  /// Cooperative cancellation point: run_wave calls it first, pooled
+  /// mission bodies at every generation boundary, and job bodies with
+  /// long phases between waves may call it too. Expires the job once its
+  /// deadline has passed, then throws MissionCancelled when cancel() was
+  /// requested.
   void check_cancelled() const;
 
   [[nodiscard]] const JobConfig& job() const noexcept { return job_; }
@@ -302,7 +309,8 @@ class MissionContext final : public platform::WaveExecutor {
   friend class ArrayPool;
   MissionContext(JobConfig job, ArrayPool& pool, CompiledArrayCache& cache,
                  evo::FitnessMemo& memo, MissionRunner& runner,
-                 std::uint64_t job_id);
+                 std::uint64_t job_id,
+                 std::chrono::steady_clock::time_point deadline);
 
   [[nodiscard]] platform::CompiledLane compile_cached(std::size_t lane);
 
@@ -313,6 +321,8 @@ class MissionContext final : public platform::WaveExecutor {
   CompiledArrayCache& cache_;
   MissionRunner& runner_;
   std::uint64_t job_id_;
+  /// Admission time + job_.deadline_ms; unread when deadline_ms is 0.
+  std::chrono::steady_clock::time_point deadline_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   /// Shared memo + accumulated per-mission hit/miss tally; the frame-set
@@ -494,8 +504,7 @@ class ArrayPool {
     /// Array ids leased while running (guarded by pool mutex; empty when
     /// queued or released).
     std::vector<std::size_t> leased;
-    bool has_deadline = false;
-    bool deadline_fired = false;
+    /// Admission time + config.deadline_ms (set when deadline_ms > 0).
     std::chrono::steady_clock::time_point deadline{};
   };
   /// Per-array identity and health; free_arrays_ always equals the
@@ -525,8 +534,6 @@ class ArrayPool {
   void quarantine_locked(std::size_t id, std::vector<FailedStart>& failures);
   /// Fails queued jobs that can never fit the healthy capacity.
   void evict_unsatisfiable_locked(std::vector<FailedStart>& failures);
-  void ensure_watchdog_locked();
-  void watchdog_loop();
   /// Copies the guarded counters into the atomic mirrors that
   /// quick_stats() reads. Caller holds mutex_ (the constructor calls it
   /// before any concurrency exists).
@@ -549,8 +556,8 @@ class ArrayPool {
   std::size_t free_arrays_;
   std::size_t quarantined_ = 0;
   std::size_t running_ = 0;
-  /// Job tasks handed to the execution core whose run_job has not yet
-  /// reached its final critical section; wait_all (and therefore the
+  /// Job bodies submitted to ThreadPool::global() whose run_job has not
+  /// yet reached its final critical section; wait_all (and therefore the
   /// destructor) waits for zero, so no worker can still be inside a
   /// run_job that references this pool when it is torn down.
   std::size_t pending_tasks_ = 0;
@@ -560,11 +567,6 @@ class ArrayPool {
   std::uint64_t cancelled_ = 0;
   std::uint64_t preempted_ = 0;
   std::uint64_t deadline_expired_ = 0;
-  // Deadline watchdog: started lazily with the first deadline job,
-  // woken on admissions and shutdown (guarded by mutex_ / watchdog_cv_).
-  std::thread watchdog_;
-  std::condition_variable watchdog_cv_;
-  bool stopping_ = false;
   /// Relaxed-atomic mirrors of the guarded counters, republished at the
   /// end of every mutating critical section (see publish_stats_locked).
   struct StatMirror {

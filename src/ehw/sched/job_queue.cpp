@@ -4,11 +4,6 @@
 
 namespace ehw::sched {
 
-JobQueue::JobQueue(std::uint64_t aging_rounds, std::uint64_t starvation_age)
-    : aging_rounds_(aging_rounds), starvation_age_(starvation_age) {
-  EHW_REQUIRE(aging_rounds_ > 0, "aging_rounds must be positive");
-}
-
 void JobQueue::push(JobTicket ticket) {
   if (!pending_.empty()) {
     EHW_REQUIRE(ticket.id > pending_.back().ticket.id,
@@ -42,7 +37,7 @@ std::optional<JobTicket> JobQueue::pop_admissible(std::size_t free_arrays) {
 
   // Head-of-line protection: once the top ticket has starved long enough,
   // stop backfilling smaller jobs around it and drain until it fits.
-  if (best_fit != top && pending_[top].age >= starvation_age_) {
+  if (best_fit != top && pending_[top].age >= kStarvationAge) {
     return std::nullopt;
   }
 

@@ -5,12 +5,12 @@
 // Policy, applied on every successful admission, fully deterministic:
 //   * the ticket with the highest EFFECTIVE priority wins; ties go to the
 //     earlier submission (FIFO). Effective priority = static priority +
-//     age / aging_rounds, where age counts admissions that happened while
+//     age / kAgingRounds, where age counts admissions that happened while
 //     the ticket waited — so any starved job eventually outranks a stream
 //     of fresher high-priority ones;
 //   * a ticket only pops when its lane demand fits the free arrays. When
 //     the top ticket does NOT fit, smaller tickets may backfill around it
-//     — until the top ticket has waited starvation_age admissions, after
+//     — until the top ticket has waited kStarvationAge admissions, after
 //     which backfilling stops and the pool drains until the big job fits
 //     (head-of-line protection for wide missions).
 //
@@ -38,8 +38,10 @@ struct JobTicket {
 
 class JobQueue {
  public:
-  explicit JobQueue(std::uint64_t aging_rounds = 4,
-                    std::uint64_t starvation_age = 16);
+  /// Admissions a waiting ticket sits through per unit of priority gained.
+  static constexpr std::uint64_t kAgingRounds = 4;
+  /// Admissions the top ticket waits before backfilling around it stops.
+  static constexpr std::uint64_t kStarvationAge = 16;
 
   void push(JobTicket ticket);
 
@@ -64,7 +66,7 @@ class JobQueue {
   /// (exposed for tests and schedule introspection).
   [[nodiscard]] int effective_priority(const JobTicket& ticket,
                                        std::uint64_t age) const noexcept {
-    return ticket.priority + static_cast<int>(age / aging_rounds_);
+    return ticket.priority + static_cast<int>(age / kAgingRounds);
   }
 
  private:
@@ -77,8 +79,6 @@ class JobQueue {
   [[nodiscard]] bool ranks_before(const Pending& a,
                                   const Pending& b) const noexcept;
 
-  std::uint64_t aging_rounds_;
-  std::uint64_t starvation_age_;
   std::vector<Pending> pending_;  // submission order (ids ascend)
 };
 

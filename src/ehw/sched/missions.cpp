@@ -324,12 +324,17 @@ ArrayPool::JobBody make_job_body(MissionSpec spec) {
 ArrayPool::JobBody make_job_body(MissionSpec spec, MissionCheckpointing ck) {
   return [spec = std::move(spec), ck = std::move(ck)](
              MissionContext& context, JobOutcome& outcome) {
-    // Fold the pool's preemption request (lane quarantine pulling the
-    // mission off its slice) into the driver's boundary poll, so every
-    // pooled mission is migratable — not only those the caller configured.
+    // The evolution loops' boundary poll (every generation, every
+    // cascade step) is the body's cancellation point — merged-fitness
+    // cascades submit no waves, so run_wave's check never runs for them —
+    // and folds in the pool's preemption request (lane quarantine pulling
+    // the mission off its slice), so every pooled mission is cancellable,
+    // honours its deadline and is migratable, not only those the caller
+    // configured.
     MissionCheckpointing durable = ck;
     const std::function<bool()> upstream = durable.should_preempt;
     durable.should_preempt = [&context, upstream] {
+      context.check_cancelled();
       return context.preempt_requested() || (upstream && upstream());
     };
     run_spec(context, spec, outcome, durable, &context.images_cache());

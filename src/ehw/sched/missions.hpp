@@ -59,8 +59,9 @@ struct MissionSpec {
   /// Cascade options (ignored by the other kinds).
   bool merged_fitness = false;
   bool interleaved = false;
-  /// Host wall-clock deadline in milliseconds (0 = none): a pooled job
-  /// still running past it is cancelled and reported failed.
+  /// Host wall-clock deadline in milliseconds from admission (0 = none):
+  /// a pooled job still running past it stops at its next generation
+  /// boundary and is reported failed.
   std::uint64_t deadline_ms = 0;
 };
 

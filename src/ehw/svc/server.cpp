@@ -968,12 +968,6 @@ void Server::refresh_gauges() {
   const LruStats memo = pool_.memo_stats();
   metrics_.gauge("mpa_fitness_memo_hit_rate").set(memo.hit_rate());
 
-  const WorkStealPool::Stats steal = WorkStealPool::shared().stats();
-  metrics_.gauge("mpa_steal_tasks_executed")
-      .set(static_cast<double>(steal.executed));
-  metrics_.gauge("mpa_steal_tasks_stolen")
-      .set(static_cast<double>(steal.stolen));
-
   if (fault::active()) {
     for (std::size_t s = 0; s < fault::kSiteCount; ++s) {
       const auto site = static_cast<fault::Site>(s);

@@ -18,7 +18,6 @@
 #include "ehw/common/stats.hpp"
 #include "ehw/common/table.hpp"
 #include "ehw/common/thread_pool.hpp"
-#include "ehw/common/work_steal.hpp"
 #include "ehw/common/version.hpp"
 
 namespace ehw {
@@ -353,77 +352,37 @@ TEST(ThreadPool, ManyTasksComplete) {
   EXPECT_EQ(counter.load(), 200);
 }
 
-// --- WorkStealPool ----------------------------------------------------------
-
-TEST(WorkSteal, AllTasksExecuteAndDrainOnDestruction) {
+TEST(ThreadPool, DestructorRunsEveryQueuedTask) {
   std::atomic<int> counter{0};
+  std::atomic<bool> release{false};
   {
-    WorkStealPool pool(3);
+    ThreadPool pool(3);
+    // Hold every worker so the counting tasks are still queued when the
+    // pool starts to shut down.
+    for (int w = 0; w < 3; ++w) {
+      pool.submit([&] {
+        while (!release.load()) std::this_thread::yield();
+      });
+    }
     for (int i = 0; i < 500; ++i) {
       pool.submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
     }
-    // Destructor finishes every queued task before joining.
+    release.store(true);
+    // The destructor runs whatever is still queued before joining.
   }
   EXPECT_EQ(counter.load(), 500);
 }
 
-TEST(WorkSteal, StatsCountSubmissionsAndExecutions) {
-  WorkStealPool pool(2);
-  std::atomic<int> done{0};
-  constexpr int kTasks = 64;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  while (done.load(std::memory_order_relaxed) != kTasks) {
-    std::this_thread::yield();
-  }
-  const WorkStealPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kTasks));
-  EXPECT_EQ(stats.executed, static_cast<std::uint64_t>(kTasks));
-}
-
-TEST(WorkSteal, IdleWorkerStealsFromBusyWorkersDeque) {
-  // A worker task fans out subtasks onto its OWN deque and then blocks
-  // until all of them ran. The submitting worker is occupied, so every
-  // subtask must migrate to the other worker via steal-half raids.
-  WorkStealPool pool(2);
-  std::atomic<int> sub_done{0};
-  std::atomic<bool> outer_done{false};
-  constexpr int kSubtasks = 8;
-  pool.submit([&] {
-    for (int i = 0; i < kSubtasks; ++i) {
-      pool.submit(
-          [&] { sub_done.fetch_add(1, std::memory_order_relaxed); });
-    }
-    while (sub_done.load(std::memory_order_relaxed) != kSubtasks) {
-      std::this_thread::yield();
-    }
-    outer_done.store(true, std::memory_order_release);
-  });
-  while (!outer_done.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  const WorkStealPool::Stats stats = pool.stats();
-  // All subtasks migrated; the idle worker may additionally have stolen
-  // the externally submitted outer task itself before running it.
-  EXPECT_GE(stats.stolen, static_cast<std::uint64_t>(kSubtasks));
-  EXPECT_LE(stats.stolen, static_cast<std::uint64_t>(kSubtasks) + 1);
-  EXPECT_GE(stats.steal_batches, 1u);
-  // Steal-half migrates batches, not single tasks: raiding the queued
-  // tasks takes at most one raid per task even in the worst interleaving.
-  EXPECT_LE(stats.steal_batches, static_cast<std::uint64_t>(kSubtasks) + 1);
-}
-
-TEST(WorkSteal, WorkerRecursiveSubmitsKeepDraining) {
+TEST(ThreadPool, TaskSubmitsKeepDraining) {
   // Chained submits from inside tasks (the ArrayPool admission pattern:
   // a finishing job admits the next) must all run without external
-  // nudging.
+  // nudging, including while the destructor drains.
   // Declared before the pool: workers may still be returning through
   // `chain` when the count hits 21, so it must outlive the pool join.
   std::atomic<int> depth_done{0};
   std::function<void(int)> chain;
   {
-    WorkStealPool pool(2);
+    ThreadPool pool(2);
     chain = [&](int depth) {
       if (depth > 0) {
         pool.submit([&chain, depth] { chain(depth - 1); });
@@ -431,18 +390,15 @@ TEST(WorkSteal, WorkerRecursiveSubmitsKeepDraining) {
       depth_done.fetch_add(1, std::memory_order_relaxed);
     };
     pool.submit([&chain] { chain(20); });
-    // The pool destructor drains every queued task and joins.
   }
   EXPECT_EQ(depth_done.load(), 21);
 }
 
-TEST(WorkSteal, SharedPoolIsBoundedAndReusable) {
-  WorkStealPool& shared = WorkStealPool::shared();
-  EXPECT_GE(shared.size(), 2u);
-  std::atomic<int> ran{0};
-  shared.submit([&] { ran.fetch_add(1); });
-  while (ran.load() != 1) std::this_thread::yield();
-  EXPECT_EQ(&shared, &WorkStealPool::shared());
+TEST(ThreadPool, GlobalHasAtLeastTwoWorkers) {
+  ThreadPool& global = ThreadPool::global();
+  EXPECT_GE(global.size(), 2u);
+  EXPECT_EQ(&global, &ThreadPool::global());
+  EXPECT_EQ(global.submit([] { return 7; }).get(), 7);
 }
 
 }  // namespace

@@ -163,6 +163,57 @@ TEST(Robustness, DeadlineExpiryFailsTheJobAndIsCounted) {
   EXPECT_FALSE(ok->deadline_exceeded());
 }
 
+TEST(Robustness, MergedCascadeHonoursCancelAndDeadline) {
+  // A merged-fitness cascade judges its candidates at the chain end
+  // itself and submits no waves, so the cascade loop's per-step boundary
+  // poll is its only cancellation point.
+  PoolConfig config;
+  config.num_arrays = 2;
+  ArrayPool pool(config);
+  MissionSpec spec;
+  spec.kind = MissionKind::kCascade;
+  spec.name = "merged";
+  spec.lanes = 2;
+  spec.generations = 2000;
+  spec.merged_fitness = true;
+
+  const auto cancelled =
+      pool.submit(make_job_config(spec), make_job_body(spec));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cancelled->cancel();
+  static_cast<void>(cancelled->result());
+  EXPECT_EQ(cancelled->status(), JobStatus::kCancelled);
+  EXPECT_FALSE(cancelled->deadline_exceeded());
+
+  spec.name = "merged-overdue";
+  spec.deadline_ms = 20;
+  const auto overdue = pool.submit(make_job_config(spec), make_job_body(spec));
+  static_cast<void>(overdue->result());
+  EXPECT_EQ(overdue->status(), JobStatus::kFailed);
+  EXPECT_TRUE(overdue->deadline_exceeded());
+  EXPECT_NE(overdue->result().error.find("deadline exceeded"),
+            std::string::npos);
+  EXPECT_EQ(pool.quick_stats().deadline_expired, 1u);
+  EXPECT_EQ(pool.quick_stats().cancelled, 1u);
+}
+
+TEST(Robustness, PoolRefusesTheJobPoolAsItsHostPool) {
+  // Job bodies run on ThreadPool::global(); fanning their waves out over
+  // the same workers could leave every worker waiting on chunks that no
+  // free worker is left to run.
+  PoolConfig config = small_pool(1);
+  config.host_pool = &ThreadPool::global();
+  EXPECT_THROW(ArrayPool{config}, std::logic_error);
+
+  ThreadPool own(2);
+  config.host_pool = &own;
+  ArrayPool pool(config);
+  const MissionSpec spec = quick_spec("own-host-pool", 8, 1);
+  const auto runner = pool.submit(make_job_config(spec), make_job_body(spec));
+  static_cast<void>(runner->result());
+  EXPECT_EQ(runner->status(), JobStatus::kDone);
+}
+
 // --- lane quarantine --------------------------------------------------------
 
 TEST(Robustness, QuarantineFreeArrayShrinksCapacityAndHealRestoresIt) {

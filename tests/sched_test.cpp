@@ -149,10 +149,13 @@ TEST(JobQueue, RespectsCapacity) {
 }
 
 TEST(JobQueue, AgingPromotesStarvedJobOverFreshArrivals) {
-  // A waiting ticket gains one effective priority per aging_rounds
-  // admissions, so a continuous stream of FRESH high-priority arrivals
-  // cannot starve it: once aged, it ties them and FIFO wins the tie.
-  JobQueue q(/*aging_rounds=*/4);
+  // A waiting ticket gains one effective priority per
+  // JobQueue::kAgingRounds admissions, so a continuous stream of FRESH
+  // high-priority arrivals cannot starve it: once aged, it ties them and
+  // FIFO wins the tie.
+  static_assert(JobQueue::kAgingRounds == 4,
+                "the script below ages ticket 0 through 4 admissions");
+  JobQueue q;
   q.push(ticket(0, 1, 0));  // the starved low-priority job
   q.push(ticket(1, 1, 1));
   EXPECT_EQ(q.pop_admissible(8)->id, 1u);
@@ -173,14 +176,13 @@ TEST(JobQueue, StarvationBoundedUnderContinuousHighPriorityStream) {
   // Adversarial arrival pattern: every admission is immediately followed
   // by a FRESH job with a large static priority advantage. Aging must
   // still dispatch the old low-priority job within a bounded number of
-  // pops: it gains one effective priority per aging_rounds admissions,
-  // so after gap * aging_rounds pops it ties the fresh arrivals and FIFO
+  // pops: it gains one effective priority per kAgingRounds admissions,
+  // so after gap * kAgingRounds pops it ties the fresh arrivals and FIFO
   // wins. Without aging this loop would never pop ticket 0.
-  constexpr std::uint64_t kAgingRounds = 4;
   constexpr int kPriorityGap = 9;
-  JobQueue q(kAgingRounds);
+  JobQueue q;
   q.push(ticket(0, 1, 0));  // the victim
-  const std::uint64_t bound = kPriorityGap * kAgingRounds + 1;
+  const std::uint64_t bound = kPriorityGap * JobQueue::kAgingRounds + 1;
   std::uint64_t pops = 0;
   bool victim_dispatched = false;
   for (std::uint64_t id = 1; pops < 2 * bound; ++id) {
@@ -199,19 +201,20 @@ TEST(JobQueue, StarvationBoundedUnderContinuousHighPriorityStream) {
 
 TEST(JobQueue, HeadOfLineProtectionForWideJobs) {
   // Small jobs may backfill around a wide job that doesn't fit — but only
-  // starvation_age times; then the queue refuses to admit anything until
-  // the wide job fits.
-  JobQueue q(/*aging_rounds=*/4, /*starvation_age=*/16);
+  // JobQueue::kStarvationAge times; then the queue refuses to admit
+  // anything until the wide job fits.
+  constexpr std::uint64_t kAge = JobQueue::kStarvationAge;
+  JobQueue q;
   q.push(ticket(0, 4, 0));  // wide, head of line
-  for (std::uint64_t id = 1; id <= 20; ++id) q.push(ticket(id, 1, 0));
-  for (std::uint64_t round = 0; round < 16; ++round) {
+  for (std::uint64_t id = 1; id <= kAge + 4; ++id) q.push(ticket(id, 1, 0));
+  for (std::uint64_t round = 0; round < kAge; ++round) {
     const auto t = q.pop_admissible(1);  // wide job never fits one array
     ASSERT_TRUE(t.has_value());
     EXPECT_EQ(t->id, round + 1);
   }
   EXPECT_FALSE(q.pop_admissible(1).has_value());  // drain mode
   EXPECT_EQ(q.pop_admissible(4)->id, 0u);         // wide job finally fits
-  EXPECT_EQ(q.pop_admissible(1)->id, 17u);        // backfill resumes
+  EXPECT_EQ(q.pop_admissible(1)->id, kAge + 1);   // backfill resumes
 }
 
 // --- ArrayPool --------------------------------------------------------------
