@@ -557,4 +557,13 @@ BENCHMARK(BM_MedianGolden);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The fused-kernel variant this host runs: one binary is up to 2x
+  // apart between hosts, so every recorded number names it.
+  benchmark::AddCustomContext("kernels", pe::detail::chosen_kernel().name);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

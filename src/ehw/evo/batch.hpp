@@ -102,7 +102,9 @@ class BatchEvaluator {
 
 /// Content identity of an (input, reference) evaluation pair — the
 /// frame-set half of every memo key. Never returns 0 (0 is the "no key"
-/// sentinel).
+/// sentinel). Scans each frame's pixels only the first time: an image
+/// keeps its content hash until it is changed (img::Image), so calling
+/// this per wave on the same frames is O(1).
 [[nodiscard]] std::uint64_t frame_set_id(const img::Image& input,
                                          const img::Image& reference);
 

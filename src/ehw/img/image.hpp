@@ -10,7 +10,16 @@
 // content_hash), so images stay value-comparable. There is deliberately
 // no flat data() accessor — iterate rows via row(y); the stride is an
 // implementation detail callers must not bake in.
+//
+// Kept content hash: content_hash() scans the pixels once and keeps the
+// value, so a frame pair's identity (evo::frame_set_id) costs O(1) after
+// its first wave. Every way to change the pixels drops it — set(), the
+// non-const row() (a caller may write through the pointer), fill() and
+// copy/move assignment (which take the source's kept hash instead).
+// Copies and moves carry it. Debug builds check the kept value against
+// a fresh scan_content_hash() on every call.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -53,6 +62,7 @@ class Image {
   }
   void set(std::size_t x, std::size_t y, Pixel v) {
     EHW_ASSERT(x < width_ && y < height_, "pixel out of bounds");
+    kept_hash_.drop();
     data_[y * stride_ + x] = v;
   }
 
@@ -64,17 +74,21 @@ class Image {
     return data_[cy * stride_ + cx];
   }
 
-  /// Row pointers (64-byte aligned; width() valid pixels each).
+  /// Row pointers (64-byte aligned; width() valid pixels each). The
+  /// non-const form drops the kept content hash: compute content_hash()
+  /// only after the last write through a pointer it returned.
   [[nodiscard]] const Pixel* row(std::size_t y) const {
     EHW_ASSERT(y < height_, "row out of bounds");
     return data_.data() + y * stride_;
   }
   [[nodiscard]] Pixel* row(std::size_t y) {
     EHW_ASSERT(y < height_, "row out of bounds");
+    kept_hash_.drop();
     return data_.data() + y * stride_;
   }
 
   void fill(Pixel v) noexcept {
+    kept_hash_.drop();
     // Row spans only: inter-row padding stays zero so equality and
     // content_hash remain content-only.
     for (std::size_t y = 0; y < height_; ++y) {
@@ -90,8 +104,21 @@ class Image {
   /// Stable 64-bit content hash over the shape and every pixel (row-major,
   /// padding excluded; SplitMix64-chained like evo::Genotype::hash). The
   /// fitness memo uses this as the frame-set identity, so equal images
-  /// must hash equally on every host and build.
-  [[nodiscard]] std::uint64_t content_hash() const noexcept {
+  /// must hash equally on every host and build. Scans once, then returns
+  /// the kept value until the pixels change (see the file comment); safe
+  /// to call from many threads on one shared const image.
+  [[nodiscard]] std::uint64_t content_hash() const {
+    std::uint64_t h = kept_hash_.get();
+    if (h == 0) {
+      h = scan_content_hash();
+      kept_hash_.keep(h);
+    }
+    EHW_ASSERT(h == scan_content_hash(), "kept image hash is stale");
+    return h;
+  }
+
+  /// The full O(pixels) scan behind content_hash().
+  [[nodiscard]] std::uint64_t scan_content_hash() const noexcept {
     std::uint64_t h = 0x696D670000000001ULL;  // 'img' tag, arbitrary
     const auto mix = [&h](std::uint64_t v) noexcept {
       std::uint64_t s = h ^ (v * 0x9E3779B97F4A7C15ULL);
@@ -134,10 +161,34 @@ class Image {
     return static_cast<std::size_t>(i);
   }
 
+  /// content_hash() once computed, 0 until then (a scan that yields 0 is
+  /// simply not kept). Atomic so concurrent first calls on a shared const
+  /// image are race-free: each stores the same value. Copying carries it.
+  class KeptHash {
+   public:
+    KeptHash() = default;
+    KeptHash(const KeptHash& other) noexcept : value_(other.get()) {}
+    KeptHash& operator=(const KeptHash& other) noexcept {
+      value_ = other.get();
+      return *this;
+    }
+    [[nodiscard]] std::uint64_t get() const noexcept { return value_; }
+    void keep(std::uint64_t h) const noexcept { value_ = h; }
+    void drop() noexcept {
+      // Test first: writers that share an image's rows across threads
+      // (filter_into over a pool) then never store to a shared line.
+      if (value_ != 0) value_ = 0;
+    }
+
+   private:
+    mutable std::atomic<std::uint64_t> value_{0};
+  };
+
   std::size_t width_ = 0;
   std::size_t height_ = 0;
   std::size_t stride_ = 0;
   std::vector<Pixel, AlignedAllocator<Pixel, kCacheLineBytes>> data_;
+  KeptHash kept_hash_;
 };
 
 /// Gathers the 3x3 border-replicated window centred on (x, y) into `out`

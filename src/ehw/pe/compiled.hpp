@@ -18,9 +18,10 @@
 // bit-exact and never touches defective cells (their pseudo-random output
 // depends on position and inputs).
 //
-// Whole-frame evaluation runs a FUSED SIMD kernel (see pe/simd.hpp for
-// the lane configuration): the 9 window taps read from a padded
-// 3-row line ring whose clamp-replicated edge pixels make every frame
+// Whole-frame evaluation runs a FUSED SIMD kernel, compiled once per
+// vector ISA on x86-64 and picked at run time (detail::KernelVariant
+// below; pe/simd.hpp lists the variants): the 9 window taps read from a
+// padded 3-row line ring whose clamp-replicated edge pixels make every frame
 // pixel — borders and 1-pixel-wide frames included — an interior pixel of
 // the kernel, and the surviving steps execute block-by-block over
 // cache-line-sized spans so adjacent steps compose in L1 instead of
@@ -30,6 +31,7 @@
 // including defective cells — defects are never folded or fused away.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ehw/common/thread_pool.hpp"
@@ -37,6 +39,38 @@
 #include "ehw/pe/array.hpp"
 
 namespace ehw::pe {
+
+class CompiledArray;
+
+namespace detail {
+
+struct RowKernel;
+
+/// The fused row kernel compiled for one instruction set. Variants differ
+/// only in vector width; their results are bit-identical.
+struct KernelVariant {
+  /// "baseline" or "avx2" where the kernel is picked at run time;
+  /// "native", "baseline" or "scalar" in single-variant builds.
+  const char* name;
+  /// Rows [y0, y1) of `program` over `src`: writes them to `dst` when it
+  /// is non-null, and returns the error sum against `reference` when
+  /// that is non-null (at least one of the two is).
+  Fitness (*rows)(const CompiledArray& program, const img::Image& src,
+                  img::Image* dst, const img::Image* reference,
+                  std::size_t y0, std::size_t y1);
+};
+
+/// The variants this build compiled that the host can run, narrowest
+/// first; a single-variant build lists its one.
+[[nodiscard]] std::span<const KernelVariant> supported_kernels() noexcept;
+
+/// The variant CompiledArray runs unless told otherwise: the widest one
+/// the host supports, picked once per process.
+[[nodiscard]] inline const KernelVariant& chosen_kernel() noexcept {
+  return supported_kernels().back();
+}
+
+}  // namespace detail
 
 class CompiledArray {
  public:
@@ -56,13 +90,25 @@ class CompiledArray {
   /// Filters into a pre-allocated destination; row chunks are distributed
   /// over `pool` when given (deterministic: disjoint row ranges).
   void filter_into(const img::Image& src, img::Image& dst,
-                   ThreadPool* pool = nullptr) const;
+                   ThreadPool* pool = nullptr) const {
+    filter_into(src, dst, pool, detail::chosen_kernel());
+  }
 
   /// Aggregated MAE against `reference` of filtering `src`, without
   /// materializing the output image (the fitness-unit fast path).
   [[nodiscard]] Fitness fitness_against(const img::Image& src,
                                         const img::Image& reference,
-                                        ThreadPool* pool = nullptr) const;
+                                        ThreadPool* pool = nullptr) const {
+    return fitness_against(src, reference, pool, detail::chosen_kernel());
+  }
+
+  /// The two above through a given kernel variant instead of the chosen
+  /// one: the equivalence suites run every supported variant this way.
+  void filter_into(const img::Image& src, img::Image& dst, ThreadPool* pool,
+                   const detail::KernelVariant& kernel) const;
+  [[nodiscard]] Fitness fitness_against(
+      const img::Image& src, const img::Image& reference, ThreadPool* pool,
+      const detail::KernelVariant& kernel) const;
 
   /// Cells in rows reachable from the output mux (compile-folded steps
   /// still count: folding is an evaluator optimization, not dead logic).
@@ -91,12 +137,7 @@ class CompiledArray {
     Pixel value;
   };
 
-  /// Row-vectorized kernel over rows [y0, y1); `dst` may be null when only
-  /// the error sum against `reference` is wanted (then `reference` must be
-  /// non-null, and vice versa).
-  Fitness process_rows(const img::Image& src, img::Image* dst,
-                       const img::Image* reference, std::size_t y0,
-                       std::size_t y1) const;
+  friend struct detail::RowKernel;  // the fused kernel's one body
 
   std::vector<Step> steps_;
   std::vector<SlotConst> consts_;

@@ -164,9 +164,10 @@ platform::WaveOutcome MissionContext::run_wave(
   EHW_TRACE_SPAN("wave");
   check_cancelled();
   pool_.poll_wave_faults(job_id_);
-  // The frame-set id is recomputed per wave from the actual frame
-  // contents (cascade stages swap inputs mid-mission); hashing two
-  // frames costs a fraction of evaluating lambda candidates on them.
+  // The frame-set id is taken per wave from the actual frames (cascade
+  // stages swap inputs mid-mission). It is O(1) after a frame pair's
+  // first wave: each image keeps its content hash until its pixels
+  // change (img::Image).
   wave_memo_.frame_set_id = evo::frame_set_id(input, compare);
   platform::WaveOutcome outcome = platform::evaluate_offspring_wave(
       *platform_, offspring, wave_lanes, input, compare, barrier,

@@ -1,14 +1,15 @@
-// Randomized equivalence suite for the PR-5 fused SIMD kernels and the
-// fitness memo: whatever lane configuration the build selected
-// (vectorized or the EHW_SCALAR_KERNELS fallback), frame evaluation must
-// stay bit-identical to the scalar mesh reference — over random defect
-// maps, non-square frames, border rows and degenerate 1xN frames — and
-// memo-on evaluation must be bit-identical to memo-off, including under
+// Randomized equivalence suite for the fused SIMD kernels and the
+// fitness memo: every kernel variant the build compiled and the host
+// runs (vectorized, or the EHW_SCALAR_KERNELS fallback) must stay
+// bit-identical to the scalar mesh reference — over random defect maps,
+// non-square frames, border rows and degenerate 1xN frames — and memo-on
+// evaluation must be bit-identical to memo-off, including under
 // concurrency. Runs under ASan and TSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,9 @@
 namespace ehw::pe {
 namespace {
 
+using detail::KernelVariant;
+using detail::supported_kernels;
+
 void inject_defects(SystolicArray& mesh, Rng& rng, int count) {
   for (int i = 0; i < count; ++i) {
     const auto r = static_cast<std::size_t>(rng.below(mesh.shape().rows));
@@ -37,6 +41,33 @@ void inject_defects(SystolicArray& mesh, Rng& rng, int count) {
   }
 }
 
+TEST(FusedKernel, DispatcherPicksWidestSupportedVariant) {
+  // The variants the CPU can run, narrowest first, as
+  // __builtin_cpu_supports reports them; the dispatcher must list
+  // exactly these and pick the last.
+  std::vector<std::string> expect;
+#if defined(EHW_KERNEL_DISPATCH)
+  expect.push_back("baseline");
+  if (__builtin_cpu_supports("avx2")) expect.push_back("avx2");
+#elif defined(EHW_SIMD_FORCE_SCALAR)
+  expect.push_back("scalar");
+#elif defined(EHW_NATIVE_ARCH)
+  expect.push_back("native");
+#else
+  expect.push_back("baseline");
+#endif
+  std::vector<std::string> names;
+  for (const KernelVariant& kernel : supported_kernels()) {
+    names.emplace_back(kernel.name);
+  }
+  EXPECT_EQ(names, expect);
+  EXPECT_EQ(&detail::chosen_kernel(), &supported_kernels().back());
+  EXPECT_EQ(detail::chosen_kernel().name, expect.back());
+}
+
+// The two lane-kernel tests below pin the kernels' definitions as this
+// test compiles them; the frame tests after them run the kernels inside
+// every supported variant.
 TEST(FusedKernel, DefectiveRowLaneKernelMatchesScalarDefinition) {
   // The vectorized defective-cell kernel must reproduce
   // pe::defective_output byte for byte at every (x, y, w, n) — including
@@ -108,10 +139,15 @@ TEST(FusedKernel, DefectHeavyFramesMatchMeshEverywhere) {
       const img::Image src = img::make_scene(w, h, rng() & 0xFFFF);
       const img::Image ref = img::make_scene(w, h, rng() & 0xFFFF);
       const img::Image mesh_out = mesh.filter(src);
-      EXPECT_EQ(mesh_out, compiled.filter(src))
-          << rows << "x" << cols << " frame " << w << "x" << h;
-      EXPECT_EQ(compiled.fitness_against(src, ref),
-                img::aggregated_mae(mesh_out, ref));
+      for (const KernelVariant& kernel : supported_kernels()) {
+        img::Image out(w, h);
+        compiled.filter_into(src, out, nullptr, kernel);
+        EXPECT_EQ(mesh_out, out) << kernel.name << " " << rows << "x"
+                                 << cols << " frame " << w << "x" << h;
+        EXPECT_EQ(compiled.fitness_against(src, ref, nullptr, kernel),
+                  img::aggregated_mae(mesh_out, ref))
+            << kernel.name;
+      }
     }
   }
 }
@@ -128,12 +164,17 @@ TEST(FusedKernel, ChunkedBordersAgreeWithWholeFrame) {
     const CompiledArray compiled(mesh);
     const img::Image src = img::make_scene(65, 97, rep + 11);
     const img::Image ref = img::make_scene(65, 97, rep + 90);
-    img::Image seq(65, 97), par(65, 97);
-    compiled.filter_into(src, seq, nullptr);
-    compiled.filter_into(src, par, &pool);
-    EXPECT_EQ(seq, par);
-    EXPECT_EQ(compiled.fitness_against(src, ref, &pool),
-              compiled.fitness_against(src, ref, nullptr));
+    const img::Image mesh_out = mesh.filter(src);
+    for (const KernelVariant& kernel : supported_kernels()) {
+      SCOPED_TRACE(kernel.name);
+      img::Image seq(65, 97), par(65, 97);
+      compiled.filter_into(src, seq, nullptr, kernel);
+      compiled.filter_into(src, par, &pool, kernel);
+      EXPECT_EQ(seq, par);
+      EXPECT_EQ(seq, mesh_out);
+      EXPECT_EQ(compiled.fitness_against(src, ref, &pool, kernel),
+                compiled.fitness_against(src, ref, nullptr, kernel));
+    }
   }
 }
 

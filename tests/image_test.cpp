@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <latch>
 #include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "ehw/common/rng.hpp"
 #include "ehw/img/filters.hpp"
@@ -61,6 +66,82 @@ TEST(Image, EqualityIsDeep) {
   EXPECT_EQ(a, b);
   b.set(0, 0, 2);
   EXPECT_FALSE(a == b);
+}
+
+TEST(Image, KeptContentHashDropsOnEveryMutator) {
+  // Every value content_hash() returns must equal a fresh scan, however
+  // the pixels changed since it was kept (Debug builds also assert this
+  // inside the call).
+  const auto fresh = [](const Image& image) {
+    return image.content_hash() == image.scan_content_hash();
+  };
+  Image im = make_scene(37, 11, 5);
+  std::uint64_t kept = im.content_hash();
+
+  im.set(3, 4, static_cast<Pixel>(im.at(3, 4) ^ 0x5A));
+  EXPECT_NE(im.content_hash(), kept) << "set";
+  EXPECT_TRUE(fresh(im));
+  kept = im.content_hash();
+
+  Pixel* row = im.row(7);
+  row[2] = static_cast<Pixel>(row[2] ^ 0x5A);
+  EXPECT_NE(im.content_hash(), kept) << "write through row()";
+  EXPECT_TRUE(fresh(im));
+  kept = im.content_hash();
+
+  im.fill(9);
+  EXPECT_NE(im.content_hash(), kept) << "fill";
+  EXPECT_TRUE(fresh(im));
+  kept = im.content_hash();
+
+  // Copies and moves carry the kept hash.
+  Image copy = im;
+  EXPECT_EQ(copy.content_hash(), kept);
+  EXPECT_TRUE(fresh(copy));
+  const Image moved = std::move(copy);
+  EXPECT_EQ(moved.content_hash(), kept);
+  EXPECT_TRUE(fresh(moved));
+
+  // Assignment from a different image replaces the target's kept hash
+  // with the source's, whether the source kept one or not.
+  const Image hashed = make_scene(37, 11, 6);
+  const std::uint64_t hashed_hash = hashed.content_hash();
+  im = hashed;
+  EXPECT_EQ(im.content_hash(), hashed_hash) << "copy assignment";
+  EXPECT_TRUE(fresh(im));
+  const Image unhashed = make_scene(37, 11, 7);
+  im = unhashed;
+  EXPECT_EQ(im.content_hash(), unhashed.scan_content_hash())
+      << "copy assignment from an image with no kept hash";
+  EXPECT_TRUE(fresh(im));
+  Image source = make_scene(20, 9, 8);
+  const std::uint64_t source_hash = source.scan_content_hash();
+  im = std::move(source);
+  EXPECT_EQ(im.content_hash(), source_hash) << "move assignment";
+  EXPECT_TRUE(fresh(im));
+}
+
+TEST(Image, SharedFrameHashesAgreeAcrossThreads) {
+  // MissionImagesCache shares one const frame across missions, so the
+  // first content_hash() calls may race; each must see the scan's value.
+  const Image frame = make_scene(192, 160, 21);
+  const std::uint64_t expect = frame.scan_content_hash();
+  constexpr int kThreads = 8;
+  std::vector<std::uint64_t> seen(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 4; ++i) {
+        const std::uint64_t h = frame.content_hash();
+        if (i == 0 || h != expect) seen[t] = h;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], expect) << t;
+  EXPECT_EQ(frame.content_hash(), expect);
 }
 
 TEST(PgmIo, BinaryRoundTrip) {

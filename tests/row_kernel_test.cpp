@@ -4,6 +4,8 @@
 // and to the reference mesh model (SystolicArray::evaluate) over random
 // genotypes — including defective cells, every output row, non-square
 // shapes, constant/identity-heavy programs and full frames with borders.
+// Every kernel variant the host supports runs, not only the one the
+// dispatcher picks (pe::detail::supported_kernels).
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,17 @@ img::Image scalar_filter(const CompiledArray& compiled,
       out.set(x, y, compiled.evaluate(win, x, y));
     }
   }
+  return out;
+}
+
+using detail::KernelVariant;
+using detail::supported_kernels;
+
+/// CompiledArray::filter through one given kernel variant.
+img::Image filter_with(const CompiledArray& compiled, const img::Image& src,
+                       const KernelVariant& kernel) {
+  img::Image out(src.width(), src.height());
+  compiled.filter_into(src, out, nullptr, kernel);
   return out;
 }
 
@@ -81,13 +94,16 @@ TEST_P(RowKernelEquivalence, RandomGenotypesAllPathsAgree) {
 
       // Reference mesh vs row kernel vs scalar path: bit-identical frames.
       const img::Image mesh_out = mesh.filter(src);
-      const img::Image row_out = compiled.filter(src);
-      EXPECT_EQ(mesh_out, row_out);
-      EXPECT_EQ(scalar_filter(compiled, src), row_out);
+      EXPECT_EQ(scalar_filter(compiled, src), mesh_out);
+      for (const KernelVariant& kernel : supported_kernels()) {
+        SCOPED_TRACE(kernel.name);
+        const img::Image row_out = filter_with(compiled, src, kernel);
+        EXPECT_EQ(mesh_out, row_out);
 
-      // Fitness fast path equals MAE over the materialized frame.
-      EXPECT_EQ(compiled.fitness_against(src, ref),
-                img::aggregated_mae(row_out, ref));
+        // Fitness fast path equals MAE over the materialized frame.
+        EXPECT_EQ(compiled.fitness_against(src, ref, nullptr, kernel),
+                  img::aggregated_mae(row_out, ref));
+      }
     }
   }
 }
@@ -105,7 +121,10 @@ TEST(RowKernel, BorderOnlyFramesFallBackToScalar) {
   for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{1, 1},
                              {2, 5}, {5, 2}, {3, 1}, {1, 8}, {3, 3}}) {
     const img::Image src = img::make_scene(w, h, w * 31 + h);
-    EXPECT_EQ(mesh.filter(src), compiled.filter(src)) << w << "x" << h;
+    for (const KernelVariant& kernel : supported_kernels()) {
+      EXPECT_EQ(mesh.filter(src), filter_with(compiled, src, kernel))
+          << kernel.name << " " << w << "x" << h;
+    }
   }
 }
 
@@ -130,7 +149,10 @@ TEST(RowKernel, FoldedProgramsStayExact) {
       const CompiledArray compiled(mesh);
       EXPECT_EQ(compiled.step_count(), 0u);  // fully folded to an alias
       EXPECT_EQ(compiled.active_cell_count(), (out + 1u) * 4u);
-      EXPECT_EQ(mesh.filter(src), compiled.filter(src));
+      for (const KernelVariant& kernel : supported_kernels()) {
+        EXPECT_EQ(mesh.filter(src), filter_with(compiled, src, kernel))
+            << kernel.name;
+      }
     }
   }
 
@@ -146,10 +168,13 @@ TEST(RowKernel, FoldedProgramsStayExact) {
     const SystolicArray mesh = g.to_array();
     const CompiledArray compiled(mesh);
     EXPECT_EQ(compiled.step_count(), 0u);  // fully constant-folded
-    EXPECT_EQ(mesh.filter(src), compiled.filter(src));
     const img::Image ref = img::make_scene(19, 13, 9);
-    EXPECT_EQ(compiled.fitness_against(src, ref),
-              img::aggregated_mae(mesh.filter(src), ref));
+    for (const KernelVariant& kernel : supported_kernels()) {
+      SCOPED_TRACE(kernel.name);
+      EXPECT_EQ(mesh.filter(src), filter_with(compiled, src, kernel));
+      EXPECT_EQ(compiled.fitness_against(src, ref, nullptr, kernel),
+                img::aggregated_mae(mesh.filter(src), ref));
+    }
   }
 
   // Defective cell fed by folded constants: the defect must see the same
@@ -167,7 +192,10 @@ TEST(RowKernel, FoldedProgramsStayExact) {
     mesh.set_cell(3, 3, cc);
     const CompiledArray compiled(mesh);
     EXPECT_TRUE(compiled.any_defective_active());
-    EXPECT_EQ(mesh.filter(src), compiled.filter(src));
+    for (const KernelVariant& kernel : supported_kernels()) {
+      EXPECT_EQ(mesh.filter(src), filter_with(compiled, src, kernel))
+          << kernel.name;
+    }
   }
 }
 
@@ -181,12 +209,17 @@ TEST(RowKernel, ThreadedChunksMatchSequential) {
     const CompiledArray compiled(mesh);
     const img::Image src = img::make_scene(96, 96, rep + 40);
     const img::Image ref = img::make_scene(96, 96, rep + 80);
-    img::Image seq(96, 96), par(96, 96);
-    compiled.filter_into(src, seq, nullptr);
-    compiled.filter_into(src, par, &pool);
-    EXPECT_EQ(seq, par);
-    EXPECT_EQ(compiled.fitness_against(src, ref, &pool),
-              compiled.fitness_against(src, ref, nullptr));
+    const img::Image mesh_out = mesh.filter(src);
+    for (const KernelVariant& kernel : supported_kernels()) {
+      SCOPED_TRACE(kernel.name);
+      img::Image seq(96, 96), par(96, 96);
+      compiled.filter_into(src, seq, nullptr, kernel);
+      compiled.filter_into(src, par, &pool, kernel);
+      EXPECT_EQ(seq, par);
+      EXPECT_EQ(seq, mesh_out);
+      EXPECT_EQ(compiled.fitness_against(src, ref, &pool, kernel),
+                compiled.fitness_against(src, ref, nullptr, kernel));
+    }
   }
 }
 

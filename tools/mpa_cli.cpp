@@ -93,6 +93,7 @@
 #include "ehw/img/pgm_io.hpp"
 #include "ehw/img/synthetic.hpp"
 #include "ehw/obs/trace.hpp"
+#include "ehw/pe/compiled.hpp"
 #include "ehw/pe/liveness.hpp"
 #include "ehw/platform/evolution_driver.hpp"
 #include "ehw/resources/floorplan.hpp"
@@ -447,6 +448,7 @@ int cmd_batch(const Cli& cli) {
 int cmd_version() {
   std::printf("mpa %s (service protocol %d)\n", kVersion,
               svc::kProtocolVersion);
+  std::printf("kernels: %s\n", pe::detail::chosen_kernel().name);
   return 0;
 }
 
@@ -900,6 +902,21 @@ sched::MissionSpec spec_from_args(const Cli& cli, const char* cmd_usage) {
   return spec;
 }
 
+/// How far a finished mission got: a cascade's result carries a `stages`
+/// array and no generation count, so it is measured in stages.
+struct Extent {
+  unsigned long long count;
+  const char* unit;
+};
+Extent extent_of(const Json& result) {
+  const Json* stages = result.get("stages");
+  if (stages != nullptr && stages->is_array()) {
+    return {stages->as_array().size(), "stages"};
+  }
+  return {static_cast<unsigned long long>(result.get_number("generations", 0)),
+          "generations"};
+}
+
 /// Shared result-response printer (cmd_result and the retrying submit).
 int print_result_response(const Json& response) {
   if (!response.get_bool("ok", false)) {
@@ -915,15 +932,14 @@ int print_result_response(const Json& response) {
                 response.get_string("error", "(no error detail)").c_str());
     return 1;
   }
+  const Extent extent = extent_of(response);
   std::printf(
-      "job %llu done%s: fitness %llu, genotype %s, %llu generations, "
-      "%.3f sim s\n",
+      "job %llu done%s: fitness %llu, genotype %s, %llu %s, %.3f sim s\n",
       id, response.get_bool("replayed", false) ? " (replayed)" : "",
       static_cast<unsigned long long>(
           response.get_number("best_fitness", 0)),
-      response.get_string("genotype_hash", "?").c_str(),
-      static_cast<unsigned long long>(response.get_number("generations", 0)),
-      response.get_number("sim_s", 0.0));
+      response.get_string("genotype_hash", "?").c_str(), extent.count,
+      extent.unit, response.get_number("sim_s", 0.0));
   return 0;
 }
 
@@ -1017,14 +1033,13 @@ int cmd_submit(const Cli& cli) {
   std::printf("job %llu %s: ", static_cast<unsigned long long>(submitted.job),
               status.c_str());
   if (status == "done") {
-    std::printf("fitness %llu, genotype %s, %llu generations, %.3f sim s, "
+    const Extent extent = extent_of(result);
+    std::printf("fitness %llu, genotype %s, %llu %s, %.3f sim s, "
                 "cache %.1f%%\n",
                 static_cast<unsigned long long>(
                     result.get_number("best_fitness", 0)),
-                result.get_string("genotype_hash", "?").c_str(),
-                static_cast<unsigned long long>(
-                    result.get_number("generations", 0)),
-                result.get_number("sim_s", 0.0),
+                result.get_string("genotype_hash", "?").c_str(), extent.count,
+                extent.unit, result.get_number("sim_s", 0.0),
                 100.0 * result.get_number("cache_hits", 0) /
                     std::max(1.0, result.get_number("cache_hits", 0) +
                                       result.get_number("cache_misses", 0)));
@@ -1076,14 +1091,13 @@ int report_standalone_outcome(const char* verb,
   }
   const Json body =
       svc::outcome_to_json(spec.kind, sched::JobStatus::kDone, outcome);
+  const Extent extent = extent_of(body);
   std::printf(
-      "mpa %s: %s %s fitness %llu genotype %s generations %llu "
-      "sim %.3f s\n",
-      verb, sched::kind_name(spec.kind), spec.name.c_str(),
+      "mpa %s: %s %s fitness %llu genotype %s %s %llu sim %.3f s\n", verb,
+      sched::kind_name(spec.kind), spec.name.c_str(),
       static_cast<unsigned long long>(body.get_number("best_fitness", 0)),
-      body.get_string("genotype_hash", "?").c_str(),
-      static_cast<unsigned long long>(body.get_number("generations", 0)),
-      body.get_number("sim_s", 0.0));
+      body.get_string("genotype_hash", "?").c_str(), extent.unit,
+      extent.count, body.get_number("sim_s", 0.0));
   return 0;
 }
 
